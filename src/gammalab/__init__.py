@@ -10,6 +10,7 @@ routes, with integer arithmetic throughout.
 """
 
 from .errors import (
+    DistributionError,
     ExpansionError,
     GammalabError,
     InversionError,

@@ -54,7 +54,7 @@ class RunConfig:
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
         return cls(
-            max_n=getattr(args, "max_n", None) or getattr(args, "n", None) or 10,
+            max_n=args.max_n if "max_n" in args else getattr(args, "n", 10),
             threads=args.threads,
             format=args.format,
             seed=args.seed,
@@ -65,16 +65,30 @@ def _threads_default() -> int:
     env = os.environ.get("GAMMALAB_THREADS")
     if env:
         try:
-            return int(env)
-        except ValueError:
+            return _non_negative(env)
+        except (ValueError, argparse.ArgumentTypeError):
             pass
     return 0
+
+
+def _bounded_int(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+_positive = _bounded_int(1)
+_non_negative = _bounded_int(0)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["text", "json", "csv"], default="text")
     parser.add_argument("--output", metavar="PATH", default=None)
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_non_negative, default=None,
                         help="worker count (0 = auto; default from GAMMALAB_THREADS)")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed reserved for randomized suites")
@@ -98,7 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly = sub.add_parser("poly", help="distribution polynomial and gamma expansion")
     p_poly.add_argument("--target", required=True,
                         choices=["eulerian", "simple", "separable", "h5"])
-    p_poly.add_argument("--n", type=int, required=True)
+    p_poly.add_argument("--n", type=_positive, required=True)
     p_poly.add_argument("--method", default=None,
                         help="eulerian: enumerate|rsk; simple: enumerate|inversion")
     p_poly.add_argument("--long-run", action="store_true",
@@ -108,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="exhaustive verification suites")
     p_ver.add_argument("--suite", required=True,
                        choices=["conjecture", "reduction", "system", "lemma39"])
-    p_ver.add_argument("--max-n", type=int, default=10)
+    p_ver.add_argument("--max-n", type=_positive, default=10)
     p_ver.add_argument("--method", default=None,
                        help="conjecture: inversion (default) or enumerate")
     p_ver.add_argument("--long-run", action="store_true")

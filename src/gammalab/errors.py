@@ -29,3 +29,7 @@ class ExpansionError(GammalabError, ValueError):
 
 class InversionError(GammalabError, ValueError):
     """A power series does not admit a compositional inverse."""
+
+
+class DistributionError(GammalabError, ValueError):
+    """A joint distribution disagrees with its own permutation count."""

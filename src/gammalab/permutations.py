@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ParseError, ResourceBoundError
+from .errors import DistributionError, ParseError, ResourceBoundError
 from .polys import BivarPoly
 
 Permutation = tuple[int, ...]
@@ -333,8 +333,13 @@ class JointDistribution:
     count: int
 
     def check(self) -> None:
-        assert self.poly.evaluate_at_one() == self.count
-        assert all(c > 0 for _, c in self.poly.terms())
+        total = self.poly.evaluate_at_one()
+        if total != self.count:
+            raise DistributionError(
+                f"coefficients sum to {total}, but {self.count} permutations were tallied"
+            )
+        if any(c <= 0 for _, c in self.poly.items()):
+            raise DistributionError("a joint distribution has a non-positive coefficient")
 
 
 def joint_distribution(perms: Iterable[Permutation], n: int | None = None) -> JointDistribution:

@@ -37,8 +37,11 @@ from .permutations import (
 )
 from .polys import ONE, ST, ZERO, BivarPoly
 
-# The tableau route scales with the number of standard Young tableaux
-# (~2.4M at n = 14), not with n!.
+# The tableau route is a growth-chain DP over (shape, row of the last box)
+# states with descent-count vectors; it never lists tableaux, so its cost
+# follows the number of partitions of n, not n! or the tableau count.  The cap
+# is the largest order any benchmark workload runs; raising it waits for a
+# benchmark change that adds a workload past 14.
 MAX_RSK_N = 14
 
 
@@ -143,15 +146,19 @@ class PowerSeries:
 
 
 def geometric_inverse(y: PowerSeries) -> PowerSeries:
-    """1/(1 + y) = sum_k (-y)^k, for y with zero constant term."""
-    if not y._c[0].is_zero():
+    """1/(1 + y) for y with zero constant term, by the coefficient recurrence
+    h_0 = 1, h_n = -sum_{k=1..n} y_k h_(n-k)."""
+    if not y.coeff(0).is_zero():
         raise ValueError("geometric expansion requires a series with zero constant term")
-    acc = PowerSeries.zero(y.order)
-    one = ONE
-    for _ in range(y.order, -1, -1):
-        acc = acc * -1 * y
-        acc._c[0] = acc._c[0] + one
-    return acc
+    ys = y.coefficients()
+    h = [ONE]
+    for n in range(1, y.order + 1):
+        acc = ZERO
+        for k in range(1, n + 1):
+            if not ys[k].is_zero():
+                acc = acc + ys[k] * h[n - k]
+        h.append(-acc)
+    return PowerSeries(y.order, h)
 
 
 # ---------------------------------------------------------------------------
@@ -245,18 +252,34 @@ def functional_inverse(F: PowerSeries) -> PowerSeries:
     """The series G with F(G(x)) = G(F(x)) = x up to the truncation order.
 
     Requires a zero constant term and leading coefficient 1, which keeps all
-    inverse coefficients in the polynomial ring.
+    inverse coefficients in the polynomial ring.  Uses Lagrange inversion,
+    g_n = (1/n) [x^(n-1)] H^n with H = x/F = 1/(1 + f_2 x + f_3 x^2 + ...).
     """
-    if not F._c[0].is_zero():
+    if not F.coeff(0).is_zero():
         raise InversionError("series has a nonzero constant term")
-    if F._c[1] != ONE:
+    if F.coeff(1) != ONE:
         raise InversionError("leading coefficient must be exactly 1")
     N = F.order
-    G = PowerSeries.x(N)
+    if N == 1:
+        return PowerSeries.x(1)
+    H = geometric_inverse(PowerSeries(N - 1, [ZERO] + F.coefficients()[2:]))
+    P = H
+    coeffs = [ZERO, ONE]
     for n in range(2, N + 1):
-        # With g_n still unset, the x^n coefficient of F(G) is off by exactly g_n.
-        G._c[n] = -F.compose(G).coeff(n)
-    return G
+        P = P * H
+        coeffs.append(_exact_quotient(P.coeff(n - 1), n))
+    return PowerSeries(N, coeffs)
+
+
+def _exact_quotient(P: BivarPoly, n: int) -> BivarPoly:
+    """P / n over Z[s,t]; a nonzero remainder means G left the polynomial ring."""
+    quotient = {}
+    for key, v in P.items():
+        q, r = divmod(v, n)
+        if r:
+            raise InversionError(f"coefficient {v} of [x^{n - 1}] (x/F)^{n} is not a multiple of {n}")
+        quotient[key] = q
+    return BivarPoly(quotient)
 
 
 def indecomposable_series(F: PowerSeries) -> tuple[PowerSeries, PowerSeries]:
@@ -287,13 +310,7 @@ def simple_series(
         raise ValueError("order must be at least 4; shorter coefficients all vanish")
     if method == "inversion":
         F = eulerian_series(N, method=f_method, threads=threads, max_enum_n=max_enum_n)
-        G = functional_inverse(F)
-        coeffs = [ZERO] * 4
-        for n in range(4, N + 1):
-            sign = ONE if (n - 1) % 2 == 0 else -ONE
-            st_pow = ST ** (n - 1) if (n - 1) % 2 == 0 else -(ST ** (n - 1))
-            coeffs.append(-G.coeff(n) + sign + st_pow)
-        return PowerSeries(N, coeffs)
+        return _simple_from_inverse(functional_inverse(F))
     if method == "enumerate":
         if N > max_enum_n:
             raise ResourceBoundError(
@@ -305,6 +322,14 @@ def simple_series(
         ]
         return PowerSeries(N, coeffs)
     raise ValueError(f"unknown method {method!r} (expected 'inversion' or 'enumerate')")
+
+
+def _simple_from_inverse(G: PowerSeries) -> PowerSeries:
+    """simp_n = -g_n + (-1)^(n-1) + (-st)^(n-1) for n >= 4; zero below."""
+    coeffs = [ZERO] * min(G.order + 1, 4)
+    for n in range(4, G.order + 1):
+        coeffs.append(-G.coeff(n) + BivarPoly.const((-1) ** (n - 1)) + (-ST) ** (n - 1))
+    return PowerSeries(G.order, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -331,10 +356,7 @@ def verify_system_identities(N: int, method: str = "rsk", threads: int = 1) -> S
     x = PowerSeries.x(N)
     i_plus, i_minus = indecomposable_series(F)
     G = functional_inverse(F)
-    if N >= 4:
-        S = simple_series(N, method="inversion", f_method=method, threads=threads)
-    else:
-        S = PowerSeries.zero(N)
+    S = _simple_from_inverse(G)
     SoF = S.compose(F)
     st = ST
 
@@ -351,8 +373,8 @@ def verify_system_identities(N: int, method: str = "rsk", threads: int = 1) -> S
         "defining identity for the skew-indecomposable series",
         i_minus == x + i_plus * F + SoF,
     ))
-    one_plus_f = _one_plus(F)
-    one_plus_stf = _one_plus(F * st)
+    one_plus_f = _one(N) + F
+    one_plus_stf = _one(N) + F * st
     checks.append(("solution I+ * (1+F) = F", i_plus * one_plus_f == F))
     checks.append(("solution I- * (1+stF) = F", i_minus * one_plus_stf == F))
     lhs = (SoF + x) * one_plus_f * one_plus_stf
@@ -376,12 +398,6 @@ def verify_system_identities(N: int, method: str = "rsk", threads: int = 1) -> S
 
 def _one(N: int) -> PowerSeries:
     return PowerSeries(N, [ONE])
-
-
-def _one_plus(y: PowerSeries) -> PowerSeries:
-    out = PowerSeries(y.order, y.coefficients())
-    out._c[0] = out._c[0] + ONE
-    return out
 
 
 def _centrally_symmetric(P: BivarPoly, m: int) -> bool:

@@ -123,6 +123,32 @@ def test_usage_error_exit_code():
     assert proc.returncode == 2
 
 
+def assert_usage_error(proc, flag):
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag in errors[0]
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("target", ["eulerian", "simple", "separable", "h5"])
+def test_poly_n_below_one_is_usage_error(target):
+    for n in ("0", "-1"):
+        assert_usage_error(run_cli("poly", "--target", target, "--n", n), "--n")
+
+
+def test_verify_max_n_below_one_is_usage_error():
+    for suite in ("conjecture", "system"):
+        proc = run_cli("verify", "--suite", suite, "--max-n", "0")
+        assert_usage_error(proc, "--max-n")
+
+
+def test_negative_threads_is_usage_error():
+    assert_usage_error(run_cli("stats", "2413", "--threads", "-1"), "--threads")
+    proc = run_cli("poly", "--target", "eulerian", "--n", "4", "--threads", "-2")
+    assert_usage_error(proc, "--threads")
+
+
 def test_verify_system():
     proc = run_cli("verify", "--suite", "system", "--max-n", "6", "--format", "json")
     assert proc.returncode == 0

@@ -3,8 +3,9 @@ import itertools
 
 import pytest
 
-from gammalab.errors import ParseError, ResourceBoundError
+from gammalab.errors import DistributionError, ParseError, ResourceBoundError
 from gammalab.permutations import (
+    JointDistribution,
     check_permutation,
     complement,
     des,
@@ -258,6 +259,14 @@ def test_joint_distribution_invariants():
     d.check()
     assert d.count == 120
     assert d.poly.evaluate_at_one() == 120
+
+
+def test_joint_distribution_check_rejects_wrong_count():
+    d = eulerian_distribution(4)
+    with pytest.raises(DistributionError, match="23"):
+        JointDistribution(d.poly, 4, 23).check()
+    with pytest.raises(DistributionError):
+        JointDistribution(BivarPoly({(0, 0): 2, (1, 1): -1}), 2, 1).check()
 
 
 def test_joint_distribution_mixed_lengths():

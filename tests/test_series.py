@@ -1,5 +1,6 @@
 """Power series over polynomial coefficients: inversion, the system, the oracle."""
 import itertools
+from math import comb
 
 import pytest
 
@@ -58,6 +59,7 @@ def test_geometric_inverse():
     product = inv * F + inv  # (1 + F) * inv
     assert product.coeff(0) == ONE
     assert all(product.coeff(n) == ZERO for n in range(1, 7))
+    assert geometric_inverse(PowerSeries(1, [ZERO, ST])) == PowerSeries(1, [ONE, -ST])
     with pytest.raises(ValueError):
         geometric_inverse(PowerSeries(3, [ONE]))
 
@@ -67,18 +69,37 @@ def test_geometric_inverse():
 # ---------------------------------------------------------------------------
 
 def test_functional_inverse_of_x():
-    x = PowerSeries.x(4)
-    assert functional_inverse(x) == x
+    for order in (1, 2, 4):
+        x = PowerSeries.x(order)
+        assert functional_inverse(x) == x
 
 
 def test_functional_inverse_catalan_signs():
-    F = PowerSeries(6, [ZERO, ONE, ONE])  # x + x^2
+    F = PowerSeries(12, [ZERO, ONE, ONE])  # x + x^2
     G = functional_inverse(F)
-    expected = [1, -1, 2, -5, 14, -42]
-    for n, c in enumerate(expected, start=1):
-        assert G.coeff(n) == BivarPoly.const(c)
-    assert F.compose(G) == PowerSeries.x(6)
-    assert G.compose(F) == PowerSeries.x(6)
+    assert [G.coeff(n).coeff(0, 0) for n in range(1, 7)] == [1, -1, 2, -5, 14, -42]
+    for n in range(1, 13):  # g_n = (-1)^(n-1) C_(n-1)
+        catalan = comb(2 * (n - 1), n - 1) // n
+        assert G.coeff(n) == BivarPoly.const((-1) ** (n - 1) * catalan)
+    assert F.compose(G) == PowerSeries.x(12)
+    assert G.compose(F) == PowerSeries.x(12)
+
+
+def test_functional_inverse_order_two():
+    F = PowerSeries(2, [ZERO, ONE, S_PLUS_T])
+    assert functional_inverse(F) == PowerSeries(2, [ZERO, ONE, -S_PLUS_T])
+
+
+def test_functional_inverse_non_symmetric_bivariate():
+    s = BivarPoly.monomial(1, 1, 0)
+    t = BivarPoly.monomial(1, 0, 1)
+    F = PowerSeries(9, [ZERO, ONE, s, t, ZERO, ST])  # x + s x^2 + t x^3 + st x^5
+    G = functional_inverse(F)
+    x = PowerSeries.x(9)
+    assert G.coeff(2) == -s
+    assert G.coeff(3) == s * s * 2 - t
+    assert F.compose(G) == x
+    assert G.compose(F) == x
 
 
 def test_functional_inverse_second_coefficient():
