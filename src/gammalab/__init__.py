@@ -51,7 +51,6 @@ from .polys import (
     gamma_basis_univariate,
     gamma_expand_bivariate,
     gamma_expand_univariate,
-    is_gamma_positive,
     is_palindromic_bivariate,
     is_palindromic_univariate,
 )

@@ -42,6 +42,18 @@ EXIT_RESOURCE = 3
 # Full-S_n enumeration above this length must be acknowledged with --long-run.
 LONG_RUN_THRESHOLD = 10
 
+# The --method values each poly target and verify suite accepts; the first is the default.
+METHODS = {
+    "eulerian": ("enumerate", "rsk"),
+    "simple": ("inversion", "enumerate"),
+    "separable": ("trees",),
+    "h5": ("trees",),
+    "conjecture": ("inversion", "enumerate"),
+    "reduction": ("enumerate",),
+    "system": ("rsk",),
+    "lemma39": ("trees",),
+}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -49,7 +61,6 @@ class RunConfig:
     max_n: int = 10
     threads: int = 0
     format: str = "text"
-    seed: int = 0
 
     @classmethod
     def from_args(cls, args: argparse.Namespace) -> "RunConfig":
@@ -57,7 +68,6 @@ class RunConfig:
             max_n=args.max_n if "max_n" in args else getattr(args, "n", 10),
             threads=args.threads,
             format=args.format,
-            seed=args.seed,
         )
 
 
@@ -90,8 +100,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output", metavar="PATH", default=None)
     parser.add_argument("--threads", type=_non_negative, default=None,
                         help="worker count (0 = auto; default from GAMMALAB_THREADS)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed reserved for randomized suites")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,41 +251,39 @@ def _check_enum_bound(n: int, long_run: bool, cheaper: str) -> None:
         )
 
 
+def _method(args: argparse.Namespace) -> str:
+    """The --method value, or the default, checked against METHODS."""
+    key = args.target if args.command == "poly" else args.suite
+    allowed = METHODS[key]
+    method = args.method or allowed[0]
+    if method not in allowed:
+        raise ParseError(f"--method {method!r} is not available for {key}; "
+                         f"choose from {', '.join(allowed)}")
+    return method
+
+
 def cmd_poly(args: argparse.Namespace) -> int:
     n = args.n
     target = args.target
     threads = args.config.threads
+    method = _method(args)
     if target == "eulerian":
-        method = args.method or "enumerate"
         if method == "enumerate":
             _check_enum_bound(n, args.long_run, "--method rsk")
             poly = eulerian_distribution(n, threads=threads).poly
-        elif method == "rsk":
-            poly = series.rsk_two_sided_eulerian(n)
         else:
-            raise ParseError(f"unknown method {method!r} for target eulerian")
+            poly = series.rsk_two_sided_eulerian(n)
     elif target == "simple":
-        method = args.method or "inversion"
         if method == "enumerate":
             _check_enum_bound(n, args.long_run, "--method inversion")
             poly = simple_distribution(n, threads=threads).poly if n >= 4 else BivarPoly()
-        elif method == "inversion":
-            if n < 4:
-                poly = BivarPoly()
-            else:
-                poly = series.simple_series(max(n, 4), method="inversion").coeff(n)
+        elif n < 4:
+            poly = BivarPoly()
         else:
-            raise ParseError(f"unknown method {method!r} for target simple")
-    elif target in ("separable", "h5"):
-        method = "trees"
-        k = 2 if target == "separable" else 5
-        if n > LONG_RUN_THRESHOLD and not args.long_run:
-            raise ResourceBoundError(f"closure generation at n = {n} needs --long-run")
-        if n > MAX_ENUMERATION_N:
-            raise ResourceBoundError(f"n = {n} exceeds the hard cap {MAX_ENUMERATION_N}")
-        poly = orbits.closure_distribution(n, k)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ParseError(f"unknown target {target!r}")
+            poly = series.simple_series(n, method="inversion").coeff(n)
+    else:  # separable, h5
+        _check_enum_bound(n, args.long_run, "a smaller --n")
+        poly = orbits.closure_distribution(n, 2 if target == "separable" else 5)
     expansion = gamma_expand_bivariate(poly, n - 1)
     payload = {
         "target": target,
@@ -295,21 +301,19 @@ def cmd_verify(args: argparse.Namespace) -> int:
     suite = args.suite
     max_n = args.config.max_n
     threads = args.config.threads
+    method = _method(args)
     results: list[dict] = []
     ok = True
     if suite == "conjecture":
-        method = args.method or "inversion"
         if method == "inversion":
             S = series.simple_series(max(max_n, 4), method="inversion")
             per_n = {n: S.coeff(n) for n in range(4, max_n + 1)}
-        elif method == "enumerate":
+        else:
             _check_enum_bound(max_n, args.long_run, "--method inversion")
             per_n = {
                 n: simple_distribution(n, threads=threads).poly
                 for n in range(4, max_n + 1)
             }
-        else:
-            raise ParseError(f"unknown method {method!r} for suite conjecture")
         for n in range(4, max_n + 1):
             expansion = gamma_expand_bivariate(per_n[n], n - 1)
             positive = expansion.is_positive()
@@ -332,12 +336,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "failures": list(report.failures),
             })
     elif suite == "system":
-        report = series.verify_system_identities(max_n, threads=threads)
+        report = series.verify_system_identities(max_n, method=method, threads=threads)
         ok = report.ok
         results = [{"check": name, "pass": passed} for name, passed in report.checks]
-    elif suite == "lemma39":
-        if max_n > LONG_RUN_THRESHOLD and not args.long_run:
-            raise ResourceBoundError(f"closure classes at n = {max_n} need --long-run")
+    else:  # lemma39
+        _check_enum_bound(max_n, args.long_run, "a smaller --max-n")
         for n in range(1, max_n + 1):
             report = orbits.closure_class_report(n)
             passed = report.ok
@@ -359,8 +362,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "pass": passed,
                 "failures": list(report.failures),
             })
-    else:  # pragma: no cover
-        raise ParseError(f"unknown suite {suite!r}")
     payload = {"suite": suite, "ok": ok, "results": results}
     _emit(payload, args)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED

@@ -13,6 +13,10 @@ gamma-basis element to the joint (des, ides) distribution, with exponents read
 off the orbit's minimal representative: the unique tree whose odd chains all
 start with 12 and whose length-4 nodes are all labeled 2413.
 
+Inflation adds des and ides, so a tree's statistics are the sums over its
+skeletons: the closure polynomials and class reports score trees directly and
+never rebuild a permutation.  `closure_trees` keeps no state between calls.
+
 The same bookkeeping at the level of *simplified* trees (labels reduced to
 lengths) factors the full two-sided Eulerian polynomial into per-shape
 products, which is what `verify_reduction` checks exhaustively.
@@ -20,6 +24,7 @@ products, which is what `verify_reduction` checks exhaustively.
 from __future__ import annotations
 
 import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -31,7 +36,7 @@ from .permutations import (
     enumerate_permutations,
     enumerate_simple,
     eulerian_distribution,
-    joint_distribution,
+    simple_distribution,
 )
 from .polys import (
     ONE,
@@ -43,6 +48,9 @@ from .polys import (
     gamma_expand_bivariate,
 )
 from .trees import (
+    _ASC,
+    _BINARY,
+    _DESC,
     LEAF,
     DecompTree,
     Path,
@@ -54,13 +62,13 @@ from .trees import (
     max_skeleton_length,
     reconstruct,
     simplify,
-    subtree_at,
+    tree_des_ides,
     tree_text,
 )
 
-_ASC = (1, 2)
-_DESC = (2, 1)
 _LEN4 = {(2, 4, 1, 3), (3, 1, 4, 2)}
+# Each involution toggles a node's label within its pair.
+_TOGGLE = {_ASC: _DESC, _DESC: _ASC, (2, 4, 1, 3): (3, 1, 4, 2), (3, 1, 4, 2): (2, 4, 1, 3)}
 
 
 def _rebuild(t: DecompTree, swap_paths: set[Path]) -> DecompTree:
@@ -71,16 +79,9 @@ def _rebuild(t: DecompTree, swap_paths: set[Path]) -> DecompTree:
         if skel is None:
             return LEAF
         if path in swap_paths:
-            if skel == _ASC:
-                skel = _DESC
-            elif skel == _DESC:
-                skel = _ASC
-            elif skel == (2, 4, 1, 3):
-                skel = (3, 1, 4, 2)
-            elif skel == (3, 1, 4, 2):
-                skel = (2, 4, 1, 3)
-            else:
+            if skel not in _TOGGLE:
                 raise StructureError(f"cannot toggle skeleton {skel}")
+            skel = _TOGGLE[skel]
         return DecompTree(
             skel, tuple(rb(c, path + (i,)) for i, c in enumerate(sub.children))
         )
@@ -126,15 +127,35 @@ def minimal_representative(t: DecompTree) -> DecompTree:
     """Normalize: every odd chain starts with 12, every length-4 node is 2413.
 
     The corresponding permutation has the fewest descents in its orbit.
+    Subtrees that are already normalized are returned as they are, so an
+    already-minimal tree comes back as the same object.
     """
-    swap: set[Path] = set()
-    for chain in binary_right_chains(t).chains:
-        if len(chain) % 2 == 1 and subtree_at(t, chain[0]).skeleton == _DESC:
-            swap.update(chain)
-    for path in length4_nodes(t):
-        if subtree_at(t, path).skeleton == (3, 1, 4, 2):
-            swap.add(path)
-    return _rebuild(t, swap) if swap else t
+    return _normalized(t, None)
+
+
+def _normalized(t: DecompTree, toggle: bool | None) -> DecompTree:
+    """``t`` normalized; ``toggle`` tells a node inside a binary right chain
+    whether its chain flips, and is None at any other node."""
+    skel = t.skeleton
+    if skel is None:
+        return t
+    children = t.children
+    if skel in _BINARY:
+        if toggle is None:  # a chain head: flip the chain iff odd and led by 21
+            length = 0
+            cur = t
+            while cur.skeleton in _BINARY:
+                length += 1
+                cur = cur.children[-1]
+            toggle = length % 2 == 1 and skel == _DESC
+        new_children = (_normalized(children[0], None), _normalized(children[1], toggle))
+        flip = toggle
+    else:
+        new_children = tuple(_normalized(c, None) for c in children)
+        flip = skel == (3, 1, 4, 2)
+    if not flip and all(a is b for a, b in zip(new_children, children)):
+        return t
+    return DecompTree(_TOGGLE[skel] if flip else skel, new_children)
 
 
 @dataclass(frozen=True)
@@ -256,10 +277,7 @@ def _compositions(n: int, parts: int):
             yield (first,) + rest
 
 
-_closure_cache: dict[tuple[int, int, tuple[int, ...] | None], list[DecompTree]] = {}
-
-
-def closure_trees(n: int, k: int, _forbid: tuple[int, ...] | None = None) -> list[DecompTree]:
+def closure_trees(n: int, k: int) -> list[DecompTree]:
     """All canonical trees with n leaves whose skeletons have length <= k.
 
     By the decomposition bijection this is exactly the intersection of the
@@ -267,28 +285,25 @@ def closure_trees(n: int, k: int, _forbid: tuple[int, ...] | None = None) -> lis
     """
     if k < 2:
         raise ValueError("k must be at least 2")
-    key = (n, k, _forbid)
-    cached = _closure_cache.get(key)
-    if cached is not None:
-        return cached
-    out: list[DecompTree] = []
-    if n == 1:
-        out.append(LEAF)
-    else:
-        for ell in range(2, min(k, n) + 1):
-            for skel in _simple_list(ell):
-                if skel == _forbid:
-                    continue
-                last_forbid = skel if skel in (_ASC, _DESC) else None
-                for comp in _compositions(n, ell):
-                    pools = [
-                        closure_trees(comp[i], k, last_forbid if i == ell - 1 else None)
-                        for i in range(ell)
-                    ]
-                    for combo in itertools.product(*pools):
-                        out.append(DecompTree(skel, combo))
-    _closure_cache[key] = out
-    return out
+    skeletons = [s for ell in range(2, min(k, n) + 1) for s in _simple_list(ell)]
+    # pools[(m, forbid)]: the trees with m leaves whose root is not ``forbid``;
+    # canonical trees never give a 12 (21) node another 12 (21) as last child.
+    pools = {(1, None): [LEAF], (1, _ASC): [LEAF], (1, _DESC): [LEAF]}
+    for m in range(2, n + 1):
+        full: list[DecompTree] = []
+        for skel in skeletons:
+            if len(skel) > m:
+                break
+            last_forbid = skel if skel in _BINARY else None
+            for comp in _compositions(m, len(skel)):
+                lists = [pools[(c, None)] for c in comp[:-1]]
+                lists.append(pools[(comp[-1], last_forbid)])
+                full.extend(DecompTree(skel, combo) for combo in itertools.product(*lists))
+        pools[(m, None)] = full
+        if m < n:
+            for forbid in (_ASC, _DESC):
+                pools[(m, forbid)] = [t for t in full if t.skeleton != forbid]
+    return pools.get((n, None), [])
 
 
 def closure_permutations(n: int, k: int) -> list[Permutation]:
@@ -298,11 +313,7 @@ def closure_permutations(n: int, k: int) -> list[Permutation]:
 
 def closure_distribution(n: int, k: int) -> BivarPoly:
     """Joint (des, ides) polynomial over the closure members of length n."""
-    counts: dict[tuple[int, int], int] = {}
-    for p in closure_permutations(n, k):
-        key = des_ides(p)
-        counts[key] = counts.get(key, 0) + 1
-    return BivarPoly(counts)
+    return BivarPoly(Counter(map(tree_des_ides, closure_trees(n, k))))
 
 
 # ---------------------------------------------------------------------------
@@ -340,19 +351,16 @@ def closure_class_report(n: int, k: int = 5) -> ClosureClassReport:
     """
     if k != 5:
         raise ValueError("class reports are defined for skeleton lengths <= 5")
-    groups: dict[DecompTree, tuple[int, dict[tuple[int, int], int]]] = {}
+    groups: defaultdict[DecompTree, Counter] = defaultdict(Counter)
     for t in closure_trees(n, k):
-        m = minimal_representative(t)
-        size, counts = groups.setdefault(m, (0, {}))
-        key = des_ides(reconstruct(t))
-        counts[key] = counts.get(key, 0) + 1
-        groups[m] = (size + 1, counts)
+        groups[minimal_representative(t)][tree_des_ides(t)] += 1
     failures: list[str] = []
     records: list[ClassRecord] = []
     total = BivarPoly()
-    gamma_counts: dict[tuple[int, int], int] = {}
+    gamma_counts: Counter = Counter()
     for m in sorted(groups, key=tree_text):
-        size, counts = groups[m]
+        counts = groups[m]
+        size = counts.total()
         sig = signature_of(m)
         dist = BivarPoly(counts)
         label = tree_text(m)
@@ -362,8 +370,7 @@ def closure_class_report(n: int, k: int = 5) -> ClosureClassReport:
             failures.append(f"{label}: node-count identity fails for {sig}")
         if dist != signature_polynomial(sig):
             failures.append(f"{label}: distribution is not the expected basis element")
-        ij = (sig.gamma_i, sig.gamma_j)
-        gamma_counts[ij] = gamma_counts.get(ij, 0) + 1
+        gamma_counts[sig.gamma_i, sig.gamma_j] += 1
         records.append(ClassRecord(label, size, dist, sig))
         total = total + dist
     expansion = gamma_expand_bivariate(total, n - 1)
@@ -379,9 +386,9 @@ def closure_class_report(n: int, k: int = 5) -> ClosureClassReport:
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
-def simple_joint_poly(length: int, max_n: int = MAX_ENUMERATION_N) -> BivarPoly:
-    """Joint (des, ides) polynomial over the simple permutations of a given length."""
-    return joint_distribution(enumerate_simple(length, max_n), length).poly
+def _simple_poly(length: int) -> BivarPoly:
+    # verify_reduction asks for the same lengths once per group.
+    return simple_distribution(length).poly
 
 
 def _simplified_chain_lengths(st: SimplifiedTree) -> list[int]:
@@ -419,7 +426,7 @@ def simplified_class_polynomial(st: SimplifiedTree) -> BivarPoly:
         if length == 3:
             raise StructureError("simplified tree has a node of length 3")
         if length >= 4:
-            result = result * simple_joint_poly(length)
+            result = result * _simple_poly(length)
     for length in _simplified_chain_lengths(st):
         half, odd = divmod(length, 2)
         if odd:
@@ -457,12 +464,9 @@ def verify_reduction(n: int, max_n: int = MAX_ENUMERATION_N) -> ReductionReport:
     Also checks that the groups sum back to the full two-sided Eulerian
     polynomial.
     """
-    groups: dict[SimplifiedTree, dict[tuple[int, int], int]] = {}
+    groups: defaultdict[SimplifiedTree, Counter] = defaultdict(Counter)
     for p in enumerate_permutations(n, max_n):
-        st = simplify(decompose(p))
-        counts = groups.setdefault(st, {})
-        key = des_ides(p)
-        counts[key] = counts.get(key, 0) + 1
+        groups[simplify(decompose(p))][des_ides(p)] += 1
     failures: list[str] = []
     total = BivarPoly()
     for st in sorted(groups, key=repr):

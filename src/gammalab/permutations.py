@@ -12,6 +12,7 @@ mutated, so everything is safe to call from worker processes or threads.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -348,19 +349,16 @@ def joint_distribution(perms: Iterable[Permutation], n: int | None = None) -> Jo
     ``n`` is only required when the stream may be empty (e.g. the simple
     permutations of length 3).
     """
-    counts: dict[tuple[int, int], int] = {}
-    total = 0
+    counts: Counter = Counter()
     for p in perms:
         if n is None:
             n = len(p)
         elif len(p) != n:
             raise ValueError(f"mixed lengths in stream: expected {n}, got {len(p)}")
-        key = des_ides(p)
-        counts[key] = counts.get(key, 0) + 1
-        total += 1
+        counts[des_ides(p)] += 1
     if n is None:
         raise ValueError("empty stream needs an explicit length n")
-    return JointDistribution(BivarPoly(counts), n, total)
+    return JointDistribution(BivarPoly(counts), n, counts.total())
 
 
 def _shard_prefixes(n: int) -> list[Permutation]:
@@ -371,19 +369,13 @@ def _shard_prefixes(n: int) -> list[Permutation]:
     return [(a,) for a in values]
 
 
-def _tally_shard(args: tuple[int, Permutation, bool]) -> dict[tuple[int, int], int]:
+def _tally_shard(args: tuple[int, Permutation, bool]) -> Counter:
     n, prefix, simple_only = args
     rest = [v for v in range(1, n + 1) if v not in prefix]
-    counts: dict[tuple[int, int], int] = {}
-    simple = is_simple
-    stats = des_ides
-    for suffix in itertools.permutations(rest):
-        p = prefix + suffix
-        if simple_only and not simple(p):
-            continue
-        key = stats(p)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    perms = (prefix + suffix for suffix in itertools.permutations(rest))
+    if simple_only:
+        perms = filter(is_simple, perms)
+    return Counter(map(des_ides, perms))
 
 
 def _distribution(n: int, simple_only: bool, threads: int, max_n: int) -> JointDistribution:
@@ -406,13 +398,8 @@ def _distribution(n: int, simple_only: bool, threads: int, max_n: int) -> JointD
         shard_counts = [_tally_shard(s) for s in shards]
     # Coefficientwise integer addition, merged in shard (rank) order, is
     # bit-identical to the sequential tally.
-    counts: dict[tuple[int, int], int] = {}
-    total = 0
-    for sc in shard_counts:
-        for key, c in sc.items():
-            counts[key] = counts.get(key, 0) + c
-            total += c
-    return JointDistribution(BivarPoly(counts), n, total)
+    counts = sum(shard_counts, Counter())
+    return JointDistribution(BivarPoly(counts), n, counts.total())
 
 
 def eulerian_distribution(n: int, threads: int = 1, max_n: int = MAX_ENUMERATION_N) -> JointDistribution:

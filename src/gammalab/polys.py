@@ -259,10 +259,6 @@ class BivarGammaExpansion:
         }
 
 
-def is_gamma_positive(e: "BivarGammaExpansion | UniGammaExpansion") -> bool:
-    return e.is_positive()
-
-
 def gamma_expand_bivariate(P: BivarPoly, m: int) -> BivarGammaExpansion:
     """Expand a palindromic polynomial of darga m in the bivariate gamma basis.
 

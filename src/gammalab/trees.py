@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .errors import StructureError
-from .permutations import Permutation, inflate, is_simple, standardize
+from .permutations import Permutation, des_ides, inflate, is_simple, standardize
 
 Path = tuple[int, ...]
 
@@ -138,6 +138,26 @@ def reconstruct(t: DecompTree) -> Permutation:
     return inflate(t.skeleton, [reconstruct(c) for c in t.children])
 
 
+def tree_des_ides(t: DecompTree) -> tuple[int, int]:
+    """``des_ides(reconstruct(t))`` without rebuilding the permutation.
+
+    Inflation adds both statistics, so they are the sums over the skeletons.
+
+    >>> tree_des_ides(decompose((4, 5, 2, 3, 9, 8, 1, 6, 7)))
+    (3, 4)
+    """
+    d = e = 0
+    stack = [t]
+    while stack:
+        sub = stack.pop()
+        if sub.skeleton is not None:
+            sd, se = des_ides(sub.skeleton)
+            d += sd
+            e += se
+            stack.extend(sub.children)
+    return d, e
+
+
 # ---------------------------------------------------------------------------
 # traversal
 # ---------------------------------------------------------------------------
@@ -198,9 +218,6 @@ class ChainPartition:
     @property
     def odd_chain_count(self) -> int:
         return sum(1 for c in self.chains if len(c) % 2 == 1)
-
-    def odd_chains(self) -> list[tuple[Path, ...]]:
-        return [c for c in self.chains if len(c) % 2 == 1]
 
 
 def binary_right_chains(t: DecompTree) -> ChainPartition:
@@ -272,12 +289,6 @@ def simplify(t: DecompTree) -> SimplifiedTree:
     if t.skeleton is None:
         return ()
     return tuple(simplify(c) for c in t.children)
-
-
-def simplified_leaf_count(st: SimplifiedTree) -> int:
-    if not st:
-        return 1
-    return sum(simplified_leaf_count(c) for c in st)
 
 
 def simplified_text(st: SimplifiedTree) -> str:

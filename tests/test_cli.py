@@ -109,6 +109,12 @@ def test_poly_resource_exit_code():
     assert "--long-run" in proc.stderr
     proc = run_cli("poly", "--target", "eulerian", "--n", "13", "--method", "enumerate")
     assert proc.returncode == 3
+    for args in (("poly", "--target", "h5", "--n", "11"),
+                 ("verify", "--suite", "lemma39", "--max-n", "11")):
+        proc = run_cli(*args)
+        assert proc.returncode == 3
+        assert "--long-run" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def test_parse_error_exit_code():
@@ -135,6 +141,14 @@ def assert_usage_error(proc, flag):
 def test_poly_n_below_one_is_usage_error(target):
     for n in ("0", "-1"):
         assert_usage_error(run_cli("poly", "--target", target, "--n", n), "--n")
+
+
+def test_method_not_read_by_the_target_is_usage_error():
+    for args in (("poly", "--target", "separable", "--n", "4", "--method", "bogus"),
+                 ("poly", "--target", "eulerian", "--n", "4", "--method", "inversion"),
+                 ("verify", "--suite", "system", "--max-n", "5", "--method", "bogus"),
+                 ("verify", "--suite", "lemma39", "--max-n", "4", "--method", "enumerate")):
+        assert_usage_error(run_cli(*args), "--method")
 
 
 def test_verify_max_n_below_one_is_usage_error():

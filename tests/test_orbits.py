@@ -15,12 +15,11 @@ from gammalab.orbits import (
     length4_nodes,
     minimal_representative,
     signature_of,
-    simple_joint_poly,
     simplified_class_polynomial,
     swap_length4_label,
     verify_reduction,
 )
-from gammalab.permutations import des, des_ides, ides, joint_distribution
+from gammalab.permutations import des, des_ides, ides, joint_distribution, simple_distribution
 from gammalab.polys import ONE_PLUS_ST, ST, S_PLUS_T, BivarPoly
 from gammalab.trees import (
     binary_right_chains,
@@ -28,6 +27,7 @@ from gammalab.trees import (
     in_closure,
     reconstruct,
     simplify,
+    tree_des_ides,
     tree_text,
 )
 
@@ -184,6 +184,8 @@ def test_minimal_representative_minimizes_descents():
             d_min = des(reconstruct(c.minimal))
             assert all(d_min <= des(q) for q in c.members)
             assert reconstruct(c.minimal) in c.members
+            # the BFS orbit is the oracle: every member normalizes to one tree
+            assert all(minimal_representative(decompose(q)) == c.minimal for q in c.members)
 
 
 def test_minimal_representative_is_normalized():
@@ -196,6 +198,7 @@ def test_minimal_representative_is_normalized():
                 assert subtree_at(m, chain[0]).skeleton == (1, 2)
         for path in length4_nodes(m):
             assert subtree_at(m, path).skeleton == (2, 4, 1, 3)
+        assert minimal_representative(m) is m
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +211,13 @@ def test_closure_trees_match_filter():
             generated = sorted(closure_permutations(n, k))
             filtered = sorted(closure_filter(n, k))
             assert generated == filtered
+
+
+def test_closure_distribution_matches_reconstructed_members():
+    for k in (2, 5):
+        for n in range(1, 9):
+            members = closure_permutations(n, k)
+            assert closure_distribution(n, k) == joint_distribution(members, n).poly
 
 
 def test_closure_trees_are_canonical():
@@ -233,7 +243,9 @@ def test_closure_class_report_small():
         rep = closure_class_report(n)
         assert rep.ok, rep.failures
         assert rep.expansion.is_positive()
-        assert sum(rec.size for rec in rep.classes) == len(closure_trees(n, 5))
+        trees = closure_trees(n, 5)
+        assert sum(rec.size for rec in rep.classes) == len(trees)
+        assert all(tree_des_ides(t) == des_ides(reconstruct(t)) for t in trees)
 
 
 def test_signature_of_rejects_long_skeletons():
@@ -247,8 +259,8 @@ def test_signature_of_rejects_long_skeletons():
 
 def test_simplified_polynomial_base_cases():
     assert simplified_class_polynomial(((), ())) == ONE_PLUS_ST
-    assert simplified_class_polynomial(((), (), (), ())) == simple_joint_poly(4)
-    assert simple_joint_poly(4) == ST * S_PLUS_T
+    assert simplified_class_polynomial(((), (), (), ())) == simple_distribution(4).poly
+    assert simple_distribution(4).poly == ST * S_PLUS_T
     # Even chain of two binary nodes along rightmost-child links.
     assert simplified_class_polynomial(((), ((), ()))) == ST * 2
     # A binary node hanging off a left child starts its own odd chain.

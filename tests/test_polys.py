@@ -22,7 +22,6 @@ from gammalab.polys import (
     gamma_basis_univariate,
     gamma_expand_bivariate,
     gamma_expand_univariate,
-    is_gamma_positive,
     is_palindromic_bivariate,
     is_palindromic_univariate,
 )
@@ -160,7 +159,7 @@ def test_gamma_expand_simp6():
 def test_gamma_expand_a4():
     e = gamma_expand_bivariate(A4, 3)
     assert e.as_dict() == {(0, 0): 1, (1, 0): 7, (1, 1): 1}
-    assert is_gamma_positive(e)
+    assert e.is_positive()
 
 
 def test_gamma_expand_basis_elements():

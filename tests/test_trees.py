@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from gammalab.errors import StructureError
-from gammalab.permutations import is_simple, standardize
+from gammalab.permutations import des_ides, is_simple, standardize
 from gammalab.trees import (
     LEAF,
     DecompTree,
@@ -20,6 +20,7 @@ from gammalab.trees import (
     simplified_text,
     simplify,
     subtree_at,
+    tree_des_ides,
     tree_json,
     tree_text,
 )
@@ -69,8 +70,18 @@ def test_roundtrip_exhaustive():
         for p in all_perms(n):
             t = decompose(p)
             assert reconstruct(t) == p
+            assert tree_des_ides(t) == des_ides(p)
             assert t not in seen
             seen.add(t)
+
+
+def test_tree_des_ides_on_a_deep_chain():
+    # 12[12[...[12[.,.],.]...],.] with 3000 leaves: the identity, far deeper
+    # than the interpreter's recursion limit.
+    t = LEAF
+    for _ in range(2999):
+        t = DecompTree((1, 2), (t, LEAF))
+    assert tree_des_ides(t) == (0, 0)
 
 
 def test_reconstruct_structure_errors():
