@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import orbits, series, trees
 from .errors import ParseError, ResourceBoundError
@@ -53,22 +52,6 @@ METHODS = {
     "system": ("rsk",),
     "lemma39": ("trees",),
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything that can influence a run; equal configs give equal bytes."""
-    max_n: int = 10
-    threads: int = 0
-    format: str = "text"
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            max_n=args.max_n if "max_n" in args else getattr(args, "n", 10),
-            threads=args.threads,
-            format=args.format,
-        )
 
 
 def _threads_default() -> int:
@@ -144,7 +127,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _emit(payload: dict, args: argparse.Namespace) -> None:
-    fmt = args.config.format
+    fmt = args.format
     if fmt == "json":
         out = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     elif fmt == "csv":
@@ -199,6 +182,7 @@ def _poly_payload(poly: BivarPoly) -> dict:
 def cmd_stats(args: argparse.Namespace) -> int:
     p = parse_permutation(args.perm)
     d, e = des_ides(p)
+    longest = trees.max_skeleton_length(trees.decompose(p))
     payload = {
         "permutation": format_permutation(p),
         "n": len(p),
@@ -208,8 +192,8 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "simple": is_simple(p),
         "sum_indecomposable": is_sum_indecomposable(p),
         "skew_indecomposable": is_skew_indecomposable(p),
-        "in_closure_2": trees.in_closure(p, 2),
-        "in_closure_5": trees.in_closure(p, 5),
+        "in_closure_2": longest <= 2,
+        "in_closure_5": longest <= 5,
     }
     _emit(payload, args)
     return EXIT_OK
@@ -265,7 +249,7 @@ def _method(args: argparse.Namespace) -> str:
 def cmd_poly(args: argparse.Namespace) -> int:
     n = args.n
     target = args.target
-    threads = args.config.threads
+    threads = args.threads
     method = _method(args)
     if target == "eulerian":
         if method == "enumerate":
@@ -299,23 +283,17 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     suite = args.suite
-    max_n = args.config.max_n
-    threads = args.config.threads
+    max_n = args.max_n
+    threads = args.threads
     method = _method(args)
     results: list[dict] = []
     ok = True
     if suite == "conjecture":
-        if method == "inversion":
-            S = series.simple_series(max(max_n, 4), method="inversion")
-            per_n = {n: S.coeff(n) for n in range(4, max_n + 1)}
-        else:
+        if method == "enumerate":
             _check_enum_bound(max_n, args.long_run, "--method inversion")
-            per_n = {
-                n: simple_distribution(n, threads=threads).poly
-                for n in range(4, max_n + 1)
-            }
+        S = series.simple_series(max(max_n, 4), method=method, threads=threads)
         for n in range(4, max_n + 1):
-            expansion = gamma_expand_bivariate(per_n[n], n - 1)
+            expansion = gamma_expand_bivariate(S.coeff(n), n - 1)
             positive = expansion.is_positive()
             ok = ok and positive
             results.append({
@@ -372,7 +350,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.threads is None:
         args.threads = _threads_default()
-    args.config = RunConfig.from_args(args)
     try:
         if args.command == "stats":
             return cmd_stats(args)

@@ -30,8 +30,8 @@ from functools import lru_cache
 
 from .errors import StructureError
 from .permutations import (
-    MAX_ENUMERATION_N,
     Permutation,
+    _check_length,
     des_ides,
     enumerate_permutations,
     enumerate_simple,
@@ -283,6 +283,7 @@ def closure_trees(n: int, k: int) -> list[DecompTree]:
     By the decomposition bijection this is exactly the intersection of the
     substitution closure of the short simple permutations with S_n.
     """
+    _check_length(n)
     if k < 2:
         raise ValueError("k must be at least 2")
     skeletons = [s for ell in range(2, min(k, n) + 1) for s in _simple_list(ell)]
@@ -341,18 +342,17 @@ class ClosureClassReport:
         return not self.failures
 
 
-def closure_class_report(n: int, k: int = 5) -> ClosureClassReport:
-    """Group the closure members of length n into orbits and check each one.
+def closure_class_report(n: int) -> ClosureClassReport:
+    """Group the members of length n of the closure of the simple permutations
+    of length <= 5 into orbits and check each one.
 
     Per class: the orbit size is 2^(odd_chains + n4), the node-count identity
     holds, and the class distribution equals its single gamma-basis element.
     Classwide: the class counts per (i, j) are exactly the gamma coefficients
     of the total distribution.
     """
-    if k != 5:
-        raise ValueError("class reports are defined for skeleton lengths <= 5")
     groups: defaultdict[DecompTree, Counter] = defaultdict(Counter)
-    for t in closure_trees(n, k):
+    for t in closure_trees(n, 5):
         groups[minimal_representative(t)][tree_des_ides(t)] += 1
     failures: list[str] = []
     records: list[ClassRecord] = []
@@ -458,14 +458,14 @@ class ReductionReport:
         return not self.failures and self.total_matches
 
 
-def verify_reduction(n: int, max_n: int = MAX_ENUMERATION_N) -> ReductionReport:
+def verify_reduction(n: int) -> ReductionReport:
     """Partition S_n by simplified tree and check the factor product per group.
 
     Also checks that the groups sum back to the full two-sided Eulerian
     polynomial.
     """
     groups: defaultdict[SimplifiedTree, Counter] = defaultdict(Counter)
-    for p in enumerate_permutations(n, max_n):
+    for p in enumerate_permutations(n):
         groups[simplify(decompose(p))][des_ides(p)] += 1
     failures: list[str] = []
     total = BivarPoly()
@@ -475,5 +475,5 @@ def verify_reduction(n: int, max_n: int = MAX_ENUMERATION_N) -> ReductionReport:
         if dist != expected:
             failures.append(f"group {st!r}: distribution does not match the factor product")
         total = total + dist
-    matches = total == eulerian_distribution(n, max_n=max_n).poly
+    matches = total == eulerian_distribution(n).poly
     return ReductionReport(n, len(groups), tuple(failures), total, matches)

@@ -21,8 +21,8 @@ from .polys import BivarPoly
 
 Permutation = tuple[int, ...]
 
-# Full S_n enumeration beyond this length is refused unless the caller raises
-# the bound explicitly (12! is ~479M permutations).
+# The one enumeration budget: every full S_n enumeration, and the closure tree
+# pools, refuse lengths above this (12! is ~479M permutations).
 MAX_ENUMERATION_N = 12
 
 
@@ -302,24 +302,29 @@ def skew_sum(p: Permutation, q: Permutation) -> Permutation:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_permutations(n: int, max_n: int = MAX_ENUMERATION_N) -> Iterator[Permutation]:
+def _check_length(n: int) -> None:
+    """Refuse a length below 1 or above the enumeration budget."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > MAX_ENUMERATION_N:
+        raise ResourceBoundError(
+            f"full enumeration of S_{n} exceeds the bound {MAX_ENUMERATION_N}"
+        )
+
+
+def enumerate_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic order.
 
     The order is deterministic, so runs are reproducible and contiguous rank
     ranges can be handed to independent workers.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > max_n:
-        raise ResourceBoundError(
-            f"full enumeration of S_{n} exceeds the configured bound {max_n}"
-        )
+    _check_length(n)
     return itertools.permutations(range(1, n + 1))
 
 
-def enumerate_simple(n: int, max_n: int = MAX_ENUMERATION_N) -> Iterator[Permutation]:
+def enumerate_simple(n: int) -> Iterator[Permutation]:
     """All simple permutations of length n, in lexicographic order."""
-    return (p for p in enumerate_permutations(n, max_n) if is_simple(p))
+    return (p for p in enumerate_permutations(n) if is_simple(p))
 
 
 # ---------------------------------------------------------------------------
@@ -378,14 +383,8 @@ def _tally_shard(args: tuple[int, Permutation, bool]) -> Counter:
     return Counter(map(des_ides, perms))
 
 
-def _distribution(n: int, simple_only: bool, threads: int, max_n: int) -> JointDistribution:
-    if n > max_n:
-        raise ResourceBoundError(
-            f"full enumeration of S_{n} exceeds the configured bound {max_n}"
-        )
-    if n <= 2 or threads == 1:
-        perms = enumerate_simple(n, max_n) if simple_only else enumerate_permutations(n, max_n)
-        return joint_distribution(perms, n)
+def _distribution(n: int, simple_only: bool, threads: int) -> JointDistribution:
+    _check_length(n)
     shards = [(n, prefix, simple_only) for prefix in _shard_prefixes(n)]
     if threads == 0:
         import os
@@ -397,16 +396,16 @@ def _distribution(n: int, simple_only: bool, threads: int, max_n: int) -> JointD
     else:
         shard_counts = [_tally_shard(s) for s in shards]
     # Coefficientwise integer addition, merged in shard (rank) order, is
-    # bit-identical to the sequential tally.
+    # bit-identical to a single lexicographic tally.
     counts = sum(shard_counts, Counter())
     return JointDistribution(BivarPoly(counts), n, counts.total())
 
 
-def eulerian_distribution(n: int, threads: int = 1, max_n: int = MAX_ENUMERATION_N) -> JointDistribution:
+def eulerian_distribution(n: int, threads: int = 1) -> JointDistribution:
     """The two-sided Eulerian polynomial of S_n, by full enumeration."""
-    return _distribution(n, False, threads, max_n)
+    return _distribution(n, False, threads)
 
 
-def simple_distribution(n: int, threads: int = 1, max_n: int = MAX_ENUMERATION_N) -> JointDistribution:
+def simple_distribution(n: int, threads: int = 1) -> JointDistribution:
     """The joint (des, ides) distribution over the simple permutations of length n."""
-    return _distribution(n, True, threads, max_n)
+    return _distribution(n, True, threads)

@@ -53,10 +53,6 @@ class BivarPoly:
     # -- construction helpers ------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "BivarPoly":
-        return cls()
-
-    @classmethod
     def const(cls, v: int) -> "BivarPoly":
         return cls({(0, 0): v})
 
@@ -88,10 +84,6 @@ class BivarPoly:
     def evaluate_at_one(self) -> int:
         """The value at s = t = 1, i.e. the sum of all coefficients."""
         return sum(self._c.values())
-
-    def max_degree(self) -> int:
-        """Largest total degree of a nonzero term (0 for the zero polynomial)."""
-        return max((p + q for p, q in self._c), default=0)
 
     # -- arithmetic ----------------------------------------------------------
 

@@ -68,10 +68,6 @@ class PowerSeries:
     def x(cls, order: int) -> "PowerSeries":
         return cls(order, [ZERO, ONE])
 
-    @classmethod
-    def zero(cls, order: int) -> "PowerSeries":
-        return cls(order, [])
-
     def coeff(self, n: int) -> BivarPoly:
         if not 0 <= n <= self.order:
             raise IndexError(f"coefficient {n} outside truncation order {self.order}")
@@ -132,17 +128,29 @@ class PowerSeries:
     __rmul__ = __mul__
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """Substitute ``inner`` for x; requires inner to have no constant term."""
+        """Substitute ``inner`` for x; requires inner to have no constant term.
+
+        Sums c_k G^k over the powers of G.  G^k has no terms below x^k, so
+        each power and each scaled power touches only the coefficients that
+        still fit under the truncation order.
+        """
         self._check_order(inner)
         if not inner._c[0].is_zero():
             raise ValueError("composition requires a series with zero constant term")
-        # Horner: c_0 + G*(c_1 + G*(c_2 + ...)).
-        acc = PowerSeries.zero(self.order)
-        for k in range(self.order, 0, -1):
-            acc._c[0] = acc._c[0] + self._c[k]
-            acc = acc * inner
-        acc._c[0] = acc._c[0] + self._c[0]
-        return acc
+        N = self.order
+        out = [self._c[0]] + [ZERO] * N
+        power = inner
+        for k in range(1, N + 1):
+            if k > 1:
+                power = power * inner
+            c = self._c[k]
+            if c.is_zero():
+                continue
+            for i in range(k, N + 1):
+                g = power._c[i]
+                if not g.is_zero():
+                    out[i] = out[i] + c * g
+        return PowerSeries(N, out)
 
 
 def geometric_inverse(y: PowerSeries) -> PowerSeries:
@@ -219,25 +227,19 @@ def rsk_two_sided_eulerian(n: int) -> BivarPoly:
     return BivarPoly(coeffs)
 
 
-def eulerian_series(
-    N: int,
-    method: str = "rsk",
-    threads: int = 1,
-    max_enum_n: int = MAX_ENUMERATION_N,
-) -> PowerSeries:
+def eulerian_series(N: int, method: str = "rsk", threads: int = 1) -> PowerSeries:
     """F(x) with coefficient A_n(s,t) at x^n, by either route."""
     if method == "rsk":
         if N > MAX_RSK_N:
             raise ResourceBoundError(f"tableau route is bounded at order {MAX_RSK_N}")
         coeffs = [ZERO] + [rsk_two_sided_eulerian(n) for n in range(1, N + 1)]
     elif method == "enumerate":
-        if N > max_enum_n:
+        if N > MAX_ENUMERATION_N:
             raise ResourceBoundError(
-                f"full enumeration is bounded at order {max_enum_n}; use method='rsk'"
+                f"full enumeration is bounded at order {MAX_ENUMERATION_N}; use method='rsk'"
             )
         coeffs = [ZERO] + [
-            eulerian_distribution(n, threads=threads, max_n=max_enum_n).poly
-            for n in range(1, N + 1)
+            eulerian_distribution(n, threads=threads).poly for n in range(1, N + 1)
         ]
     else:
         raise ValueError(f"unknown method {method!r} (expected 'rsk' or 'enumerate')")
@@ -298,7 +300,6 @@ def simple_series(
     method: str = "inversion",
     f_method: str = "rsk",
     threads: int = 1,
-    max_enum_n: int = MAX_ENUMERATION_N,
 ) -> PowerSeries:
     """S(x) with coefficient simp_n(s,t) at x^n (zero below n = 4).
 
@@ -309,16 +310,15 @@ def simple_series(
     if N < 4:
         raise ValueError("order must be at least 4; shorter coefficients all vanish")
     if method == "inversion":
-        F = eulerian_series(N, method=f_method, threads=threads, max_enum_n=max_enum_n)
+        F = eulerian_series(N, method=f_method, threads=threads)
         return _simple_from_inverse(functional_inverse(F))
     if method == "enumerate":
-        if N > max_enum_n:
+        if N > MAX_ENUMERATION_N:
             raise ResourceBoundError(
-                f"full enumeration is bounded at order {max_enum_n}; use method='inversion'"
+                f"full enumeration is bounded at order {MAX_ENUMERATION_N}; use method='inversion'"
             )
         coeffs = [ZERO] * 4 + [
-            simple_distribution(n, threads=threads, max_n=max_enum_n).poly
-            for n in range(4, N + 1)
+            simple_distribution(n, threads=threads).poly for n in range(4, N + 1)
         ]
         return PowerSeries(N, coeffs)
     raise ValueError(f"unknown method {method!r} (expected 'inversion' or 'enumerate')")

@@ -38,10 +38,6 @@ class DecompTree:
     skeleton: tuple[int, ...] | None
     children: tuple["DecompTree", ...] = ()
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.skeleton is None
-
     def __repr__(self) -> str:
         return f"DecompTree({tree_text(self)})"
 

@@ -50,6 +50,12 @@ def test_stats_memberships():
     assert data["in_closure_5"] is True
     assert data["sum_indecomposable"] is True
     assert data["skew_indecomposable"] is True
+    data = run_json("stats", "246135")  # simple, so its one skeleton has length 6
+    assert data["in_closure_2"] is False
+    assert data["in_closure_5"] is False
+    data = run_json("stats", "132")
+    assert data["in_closure_2"] is True
+    assert data["in_closure_5"] is True
 
 
 def test_decompose_golden():

@@ -1,9 +1,10 @@
 """Involutions, equivalence classes, and the simplified-tree factorization."""
 import itertools
+import time
 
 import pytest
 
-from gammalab.errors import StructureError
+from gammalab.errors import ResourceBoundError, StructureError
 from gammalab.orbits import (
     class_polynomial,
     closure_class_report,
@@ -246,6 +247,16 @@ def test_closure_class_report_small():
         trees = closure_trees(n, 5)
         assert sum(rec.size for rec in rep.classes) == len(trees)
         assert all(tree_des_ides(t) == des_ides(reconstruct(t)) for t in trees)
+
+
+def test_closure_and_reduction_refuse_past_the_budget():
+    # Only the library guards these calls: no CLI check runs in front of them.
+    for call in (lambda: closure_trees(13, 2), lambda: closure_class_report(13),
+                 lambda: verify_reduction(13)):
+        start = time.perf_counter()
+        with pytest.raises(ResourceBoundError):
+            call()
+        assert time.perf_counter() - start < 1.0
 
 
 def test_signature_of_rejects_long_skeletons():

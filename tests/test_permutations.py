@@ -1,5 +1,6 @@
 """Core permutation statistics, blocks, inflation and enumeration."""
 import itertools
+import time
 
 import pytest
 
@@ -244,6 +245,15 @@ def test_enumeration_bound():
         list(enumerate_permutations(13))
     with pytest.raises(ResourceBoundError):
         eulerian_distribution(13)
+    start = time.perf_counter()
+    with pytest.raises(ResourceBoundError):
+        simple_distribution(13)
+    assert time.perf_counter() - start < 1.0
+    for threads in (0, 1, 2):
+        with pytest.raises(ValueError):
+            eulerian_distribution(0, threads=threads)
+        with pytest.raises(ValueError):
+            simple_distribution(0, threads=threads)
 
 
 def test_joint_distribution_examples():
@@ -292,6 +302,12 @@ def test_parallel_reduction_is_bit_identical():
     sseq = simple_distribution(7, threads=1)
     spar = simple_distribution(7, threads=2)
     assert sseq == spar
+    for n in (1, 2, 7):
+        for dist, stream in ((eulerian_distribution, enumerate_permutations),
+                             (simple_distribution, enumerate_simple)):
+            expected = joint_distribution(stream(n), n)
+            for threads in (0, 1, 2):
+                assert dist(n, threads=threads) == expected
 
 
 # ---------------------------------------------------------------------------

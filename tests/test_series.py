@@ -47,6 +47,27 @@ def test_series_basics():
         x + PowerSeries.x(4)
 
 
+def _horner_compose(outer, inner):
+    """c_0 + G*(c_1 + G*(c_2 + ...)), written with public operations only."""
+    N = outer.order
+    acc = PowerSeries(N, [outer.coeff(N)])
+    for k in range(N - 1, -1, -1):
+        acc = acc * inner + PowerSeries(N, [outer.coeff(k)])
+    return acc
+
+
+def test_compose_matches_horner():
+    s = BivarPoly.monomial(1, 1, 0)
+    t = BivarPoly.monomial(1, 0, 1)
+    outer = [BivarPoly.const(3), s - t * 2, ZERO, s * t * 5 + ONE, t * t, -s, s * s * t,
+             ZERO, t * 7, s * t * t - BivarPoly.const(2)]
+    inner = [ZERO, ONE + s, t * 3, ZERO, -s * t, s * s, ONE, t, s * 4 - t, ST]
+    for N in (1, 2, 9):
+        F = PowerSeries(N, outer[:N + 1])
+        G = PowerSeries(N, inner[:N + 1])
+        assert F.compose(G) == _horner_compose(F, G)
+
+
 def test_series_truncation_closure():
     x = PowerSeries.x(3)
     high = (x * x) * (x * x)  # x^4 truncates away
