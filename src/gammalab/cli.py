@@ -82,7 +82,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["text", "json", "csv"], default="text")
     parser.add_argument("--output", metavar="PATH", default=None)
     parser.add_argument("--threads", type=_non_negative, default=None,
-                        help="worker count (0 = auto; default from GAMMALAB_THREADS)")
+                        help="worker count for the simple-permutation tallies by enumeration, "
+                             "the only ones that read it (poly --target simple --method "
+                             "enumerate, verify --suite conjecture --method enumerate); "
+                             "0 = auto; default from GAMMALAB_THREADS")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -249,18 +252,17 @@ def _method(args: argparse.Namespace) -> str:
 def cmd_poly(args: argparse.Namespace) -> int:
     n = args.n
     target = args.target
-    threads = args.threads
     method = _method(args)
     if target == "eulerian":
         if method == "enumerate":
             _check_enum_bound(n, args.long_run, "--method rsk")
-            poly = eulerian_distribution(n, threads=threads).poly
+            poly = eulerian_distribution(n).poly
         else:
             poly = series.rsk_two_sided_eulerian(n)
     elif target == "simple":
         if method == "enumerate":
             _check_enum_bound(n, args.long_run, "--method inversion")
-            poly = simple_distribution(n, threads=threads).poly if n >= 4 else BivarPoly()
+            poly = simple_distribution(n, threads=args.threads).poly if n >= 4 else BivarPoly()
         elif n < 4:
             poly = BivarPoly()
         else:
@@ -284,14 +286,13 @@ def cmd_poly(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     suite = args.suite
     max_n = args.max_n
-    threads = args.threads
     method = _method(args)
     results: list[dict] = []
     ok = True
     if suite == "conjecture":
         if method == "enumerate":
             _check_enum_bound(max_n, args.long_run, "--method inversion")
-        S = series.simple_series(max(max_n, 4), method=method, threads=threads)
+        S = series.simple_series(max(max_n, 4), method=method, threads=args.threads)
         for n in range(4, max_n + 1):
             expansion = gamma_expand_bivariate(S.coeff(n), n - 1)
             positive = expansion.is_positive()
@@ -314,7 +315,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "failures": list(report.failures),
             })
     elif suite == "system":
-        report = series.verify_system_identities(max_n, method=method, threads=threads)
+        report = series.verify_system_identities(max_n, method=method)
         ok = report.ok
         results = [{"check": name, "pass": passed} for name, passed in report.checks]
     else:  # lemma39

@@ -462,7 +462,10 @@ def verify_reduction(n: int) -> ReductionReport:
     """Partition S_n by simplified tree and check the factor product per group.
 
     Also checks that the groups sum back to the full two-sided Eulerian
-    polynomial.
+    polynomial.  That polynomial comes from the prefix DP of
+    `eulerian_distribution`, which never builds a permutation, so the final
+    comparison is an independent cross-check of this enumeration, not a second
+    pass over S_n.
     """
     groups: defaultdict[SimplifiedTree, Counter] = defaultdict(Counter)
     for p in enumerate_permutations(n):

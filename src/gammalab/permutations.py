@@ -366,6 +366,34 @@ def joint_distribution(perms: Iterable[Permutation], n: int | None = None) -> Jo
     return JointDistribution(BivarPoly(counts), n, counts.total())
 
 
+def _eulerian_counts(n: int) -> Counter:
+    """The (des, ides) tally of S_n, by a DP over prefixes.
+
+    Appending v after ``last`` adds [last > v] to des and [v - 1 not yet
+    placed] to ides (v now stands left of v - 1).  Both increments depend only
+    on the placed set and the last value, so each layer maps the state
+    (placed bitmask, last value) to the Counter of its prefixes' (des, ides),
+    and no permutation is ever built.
+    """
+    layer = {(1 << (v - 1), v): Counter({(0, int(v > 1)): 1}) for v in range(1, n + 1)}
+    for _ in range(n - 1):
+        nxt: dict[tuple[int, int], Counter] = {}
+        for (placed, last), counts in layer.items():
+            for v in range(1, n + 1):
+                bit = 1 << (v - 1)
+                if placed & bit:
+                    continue
+                dd = last > v
+                de = v > 1 and not placed & (bit >> 1)
+                target = nxt.get((placed | bit, v))
+                if target is None:
+                    target = nxt[placed | bit, v] = Counter()
+                for (d, e), c in counts.items():
+                    target[d + dd, e + de] += c
+        layer = nxt
+    return sum(layer.values(), Counter())
+
+
 def _shard_prefixes(n: int) -> list[Permutation]:
     """Length-1 (or length-2 for large n) prefixes; each is a contiguous rank range."""
     values = range(1, n + 1)
@@ -374,38 +402,91 @@ def _shard_prefixes(n: int) -> list[Permutation]:
     return [(a,) for a in values]
 
 
-def _tally_shard(args: tuple[int, Permutation, bool]) -> Counter:
-    n, prefix, simple_only = args
-    rest = [v for v in range(1, n + 1) if v not in prefix]
-    perms = (prefix + suffix for suffix in itertools.permutations(rest))
-    if simple_only:
-        perms = filter(is_simple, perms)
-    return Counter(map(des_ides, perms))
+def _tally_simple_shard(args: tuple[int, Permutation]) -> Counter:
+    """The (des, ides) tally of the simple permutations of length n that start
+    with ``prefix``, by a depth-first walk over block-free prefixes.
+
+    Placing v at position i can only close blocks that end at i, so only the
+    segments i-1..i, i-2..i, ... are checked (all but the whole line).  A
+    proper block stays a block in every extension, so a prefix holding one is
+    never grown.  des and ides grow by the same step rule as in
+    `_eulerian_counts`.
+    """
+    n, prefix = args
+    counts: Counter = Counter()
+    line = [0] * n
+    free = [False] + [True] * n  # free[v]: v not yet placed; value 0 never is
+    values = range(1, n + 1)
+
+    def extend(i: int, last: int, d: int, e: int) -> None:
+        # line[:i] is block-free, ends with ``last`` and has des d, ides e.
+        stop = 0 if i == n - 1 else -1  # segments start after ``stop``
+        for v in (prefix[i],) if i < len(prefix) else values:
+            if not free[v]:
+                continue
+            lo = hi = v
+            for j in range(i - 1, stop, -1):
+                x = line[j]
+                if x < lo:
+                    lo = x
+                elif x > hi:
+                    hi = x
+                if hi - lo == i - j:
+                    break  # line[j..i] is a block
+            else:
+                step_d, step_e = d + (last > v), e + free[v - 1]
+                if i == n - 1:
+                    counts[step_d, step_e] += 1
+                    continue
+                line[i] = v
+                free[v] = False
+                extend(i + 1, v, step_d, step_e)
+                free[v] = True
+
+    extend(0, 0, 0, 0)  # no value before the first: 0 exceeds none
+    return counts
 
 
-def _distribution(n: int, simple_only: bool, threads: int) -> JointDistribution:
-    _check_length(n)
-    shards = [(n, prefix, simple_only) for prefix in _shard_prefixes(n)]
+# The simple walk starts worker processes only from this length on; below it
+# the pool costs more to start than the shards save.  On a 2-vCPU VM, one
+# process against two: n = 9 took 0.16-0.20 s against 0.16-0.22 s, and
+# n = 10 took 1.5-2.1 s against 1.1-1.5 s.
+POOL_MIN_N = 10
+
+
+def _simple_counts(n: int, threads: int) -> Counter:
+    shards = [(n, prefix) for prefix in _shard_prefixes(n)]
     if threads == 0:
         import os
         threads = min(os.cpu_count() or 1, len(shards))
     if threads > 1:
         import multiprocessing
         with multiprocessing.Pool(threads) as pool:
-            shard_counts = pool.map(_tally_shard, shards)
+            shard_counts = pool.map(_tally_simple_shard, shards)
     else:
-        shard_counts = [_tally_shard(s) for s in shards]
-    # Coefficientwise integer addition, merged in shard (rank) order, is
-    # bit-identical to a single lexicographic tally.
-    counts = sum(shard_counts, Counter())
+        shard_counts = [_tally_simple_shard(s) for s in shards]
+    # Coefficientwise integer addition is independent of the merge order.
+    return sum(shard_counts, Counter())
+
+
+def _joint(n: int, counts: Counter) -> JointDistribution:
     return JointDistribution(BivarPoly(counts), n, counts.total())
 
 
 def eulerian_distribution(n: int, threads: int = 1) -> JointDistribution:
-    """The two-sided Eulerian polynomial of S_n, by full enumeration."""
-    return _distribution(n, False, threads)
+    """The two-sided Eulerian polynomial of S_n, by the prefix DP.
+
+    The DP runs in this process; ``threads`` is accepted and not read.
+    """
+    _check_length(n)
+    return _joint(n, _eulerian_counts(n))
 
 
 def simple_distribution(n: int, threads: int = 1) -> JointDistribution:
-    """The joint (des, ides) distribution over the simple permutations of length n."""
-    return _distribution(n, True, threads)
+    """The joint (des, ides) distribution over the simple permutations of length n.
+
+    ``threads`` workers (0 = one per core) share the prefix shards of the walk
+    from n = POOL_MIN_N on; shorter lengths run in this process.
+    """
+    _check_length(n)
+    return _joint(n, _simple_counts(n, threads if n >= POOL_MIN_N else 1))

@@ -227,7 +227,7 @@ def rsk_two_sided_eulerian(n: int) -> BivarPoly:
     return BivarPoly(coeffs)
 
 
-def eulerian_series(N: int, method: str = "rsk", threads: int = 1) -> PowerSeries:
+def eulerian_series(N: int, method: str = "rsk") -> PowerSeries:
     """F(x) with coefficient A_n(s,t) at x^n, by either route."""
     if method == "rsk":
         if N > MAX_RSK_N:
@@ -238,9 +238,7 @@ def eulerian_series(N: int, method: str = "rsk", threads: int = 1) -> PowerSerie
             raise ResourceBoundError(
                 f"full enumeration is bounded at order {MAX_ENUMERATION_N}; use method='rsk'"
             )
-        coeffs = [ZERO] + [
-            eulerian_distribution(n, threads=threads).poly for n in range(1, N + 1)
-        ]
+        coeffs = [ZERO] + [eulerian_distribution(n).poly for n in range(1, N + 1)]
     else:
         raise ValueError(f"unknown method {method!r} (expected 'rsk' or 'enumerate')")
     return PowerSeries(N, coeffs)
@@ -304,13 +302,14 @@ def simple_series(
     """S(x) with coefficient simp_n(s,t) at x^n (zero below n = 4).
 
     method='inversion' derives the coefficients from the compositional inverse
-    of the Eulerian series (built by ``f_method``); method='enumerate' filters
-    S_n for simple permutations directly.  The two agree everywhere.
+    of the Eulerian series (built by ``f_method``); method='enumerate' tallies
+    the simple permutations directly, with ``threads`` workers (read by this
+    method only).  The two agree everywhere.
     """
     if N < 4:
         raise ValueError("order must be at least 4; shorter coefficients all vanish")
     if method == "inversion":
-        F = eulerian_series(N, method=f_method, threads=threads)
+        F = eulerian_series(N, method=f_method)
         return _simple_from_inverse(functional_inverse(F))
     if method == "enumerate":
         if N > MAX_ENUMERATION_N:
@@ -349,10 +348,10 @@ class SystemReport:
         return [name for name, passed in self.checks if not passed]
 
 
-def verify_system_identities(N: int, method: str = "rsk", threads: int = 1) -> SystemReport:
+def verify_system_identities(N: int, method: str = "rsk") -> SystemReport:
     """Check the defining identities, their solutions, the inverse formula and
     the reversal symmetries, all coefficientwise and exact to order N."""
-    F = eulerian_series(N, method=method, threads=threads)
+    F = eulerian_series(N, method=method)
     x = PowerSeries.x(N)
     i_plus, i_minus = indecomposable_series(F)
     G = functional_inverse(F)

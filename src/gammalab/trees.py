@@ -61,56 +61,64 @@ def decompose(p: Permutation) -> DecompTree:
     >>> tree_text(decompose((1, 2, 3)))
     '12[12[.,.],.]'
     """
-    n = len(p)
+    return _decompose(p, 0, len(p), 0)
+
+
+def _decompose(p: Permutation, start: int, stop: int, base: int) -> DecompTree:
+    """The tree of the segment p[start:stop], whose values are base+1..base+n.
+
+    Every part below (a sum or skew part, a maximal block) holds an interval
+    of values, so it is passed on as its positions and value offset and only
+    the skeleton is standardized.
+    """
+    n = stop - start
     if n == 1:
         return LEAF
     # Direct sum: split before the last maximal sum-component, so the right
     # part is sum-indecomposable and repeated sums chain through left children.
     split = 0
     mx = 0
-    for i in range(n - 1):
+    for i in range(start, stop - 1):
         v = p[i]
         if v > mx:
             mx = v
-        if mx == i + 1:
+        if mx == base + i - start + 1:
             split = i + 1
     if split:
-        left = p[:split]
-        right = standardize(p[split:])
-        return DecompTree(_ASC, (decompose(left), decompose(right)))
+        return DecompTree(_ASC, (_decompose(p, start, split, base),
+                                 _decompose(p, split, stop, base + split - start)))
     # Skew sum, dually: the prefix holding the top values is as long as possible.
     split = 0
-    mn = n + 1
-    for i in range(n - 1):
+    mn = base + n + 1
+    for i in range(start, stop - 1):
         v = p[i]
         if v < mn:
             mn = v
-        if mn == n - i:
+        if mn == base + n - (i - start):
             split = i + 1
     if split:
-        left = standardize(p[:split])
-        right = p[split:]
-        return DecompTree(_DESC, (decompose(left), decompose(right)))
+        return DecompTree(_DESC, (_decompose(p, start, split, base + stop - split),
+                                  _decompose(p, split, stop, base)))
     # Simple quotient of length >= 4: the children are the maximal proper
     # blocks, which are pairwise disjoint here, so a greedy left-to-right scan
-    # finds them.
-    blocks: list[tuple[int, int]] = []
-    i = 0
-    while i < n:
-        lo = hi = p[i]
+    # finds them.  Each block is kept as (first, last position, lowest value).
+    blocks: list[tuple[int, int, int]] = []
+    i = start
+    while i < stop:
+        lo = hi = low = p[i]
         end = i
-        for j in range(i + 1, n):
+        for j in range(i + 1, stop):
             v = p[j]
             if v < lo:
                 lo = v
             elif v > hi:
                 hi = v
-            if hi - lo == j - i and not (i == 0 and j == n - 1):
-                end = j
-        blocks.append((i, end))
+            if hi - lo == j - i and not (i == start and j == stop - 1):
+                end, low = j, lo
+        blocks.append((i, end, low))
         i = end + 1
-    skeleton = standardize([p[i] for i, _ in blocks])
-    children = tuple(decompose(standardize(p[i:j + 1])) for i, j in blocks)
+    skeleton = standardize([low for _, _, low in blocks])
+    children = tuple(_decompose(p, i, end + 1, low - 1) for i, end, low in blocks)
     return DecompTree(skeleton, children)
 
 

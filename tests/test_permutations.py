@@ -1,12 +1,18 @@
 """Core permutation statistics, blocks, inflation and enumeration."""
 import itertools
+import math
+import multiprocessing
 import time
+from collections import Counter
 
 import pytest
 
 from gammalab.errors import DistributionError, ParseError, ResourceBoundError
 from gammalab.permutations import (
+    POOL_MIN_N,
     JointDistribution,
+    _simple_counts,
+    _tally_simple_shard,
     check_permutation,
     complement,
     des,
@@ -31,6 +37,7 @@ from gammalab.permutations import (
     standardize,
 )
 from gammalab.polys import BivarPoly
+from gammalab.series import rsk_two_sided_eulerian
 
 A4 = BivarPoly({(0, 0): 1, (1, 1): 10, (2, 2): 10, (3, 3): 1, (1, 2): 1, (2, 1): 1})
 
@@ -302,12 +309,77 @@ def test_parallel_reduction_is_bit_identical():
     sseq = simple_distribution(7, threads=1)
     spar = simple_distribution(7, threads=2)
     assert sseq == spar
-    for n in (1, 2, 7):
+    for n in (1, 2, 7, 9):
         for dist, stream in ((eulerian_distribution, enumerate_permutations),
                              (simple_distribution, enumerate_simple)):
             expected = joint_distribution(stream(n), n)
             for threads in (0, 1, 2):
                 assert dist(n, threads=threads) == expected
+    # The pooled walk below the length where simple_distribution starts a pool.
+    assert _simple_counts(7, 2) == _simple_counts(7, 1) == Counter(dict(spar.poly.items()))
+
+
+# A111111: the number of simple permutations of length n, n = 1..10.
+SIMPLE_COUNTS = (1, 2, 0, 2, 6, 46, 338, 2926, 28146, 298526)
+
+
+def test_eulerian_dp_matches_enumeration_and_tableaux():
+    for n in range(1, 9):
+        assert eulerian_distribution(n) == joint_distribution(enumerate_permutations(n), n), n
+    for n in range(1, 13):
+        d = eulerian_distribution(n)
+        assert d.poly == rsk_two_sided_eulerian(n), n
+        assert d.count == math.factorial(n)
+        d.check()
+
+
+def test_simple_walk_matches_filtered_enumeration():
+    for n in range(1, 10):
+        expected = joint_distribution(filter(is_simple, enumerate_permutations(n)), n)
+        assert simple_distribution(n) == expected, n
+
+
+def test_simple_counts_match_a111111():
+    for n, count in enumerate(SIMPLE_COUNTS, start=1):
+        d = simple_distribution(n, threads=0)
+        assert d.count == count, n
+        d.check()
+
+
+def test_simple_walk_shards_by_pairs():
+    # From n = 11 the walk is sharded by its first two values; a pair of
+    # adjacent values is a block there, so its shard is empty.
+    for n in range(3, 8):
+        pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
+        by_pair = sum((_tally_simple_shard((n, pair)) for pair in pairs), Counter())
+        assert by_pair == _simple_counts(n, 1), n
+        for a in range(1, n):
+            assert _tally_simple_shard((n, (a, a + 1))) == Counter()
+            assert _tally_simple_shard((n, (a + 1, a))) == Counter()
+
+
+def test_pool_starts_only_from_pool_min_n(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, threads):
+            started.append(threads)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    assert simple_distribution(POOL_MIN_N - 1, threads=2).count == SIMPLE_COUNTS[POOL_MIN_N - 2]
+    assert eulerian_distribution(POOL_MIN_N, threads=2).count == math.factorial(POOL_MIN_N)
+    assert started == []
+    assert simple_distribution(POOL_MIN_N, threads=2).count == SIMPLE_COUNTS[POOL_MIN_N - 1]
+    assert started == [2]
 
 
 # ---------------------------------------------------------------------------

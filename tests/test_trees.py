@@ -1,5 +1,6 @@
 """Decomposition trees: the bijection, chains, canonical form, closures."""
 import itertools
+import random
 
 import pytest
 
@@ -73,6 +74,68 @@ def test_roundtrip_exhaustive():
             assert tree_des_ides(t) == des_ides(p)
             assert t not in seen
             seen.add(t)
+
+
+def reference_decompose(p):
+    """decompose as first written: every part is standardized before recursing."""
+    n = len(p)
+    if n == 1:
+        return LEAF
+    split, mx = 0, 0
+    for i in range(n - 1):
+        mx = max(mx, p[i])
+        if mx == i + 1:
+            split = i + 1
+    if split:
+        return node((1, 2), reference_decompose(p[:split]),
+                    reference_decompose(standardize(p[split:])))
+    split, mn = 0, n + 1
+    for i in range(n - 1):
+        mn = min(mn, p[i])
+        if mn == n - i:
+            split = i + 1
+    if split:
+        return node((2, 1), reference_decompose(standardize(p[:split])),
+                    reference_decompose(p[split:]))
+    blocks, i = [], 0
+    while i < n:
+        end = i
+        for j in range(i + 1, n):
+            seg = p[i:j + 1]
+            if max(seg) - min(seg) == j - i and (i, j) != (0, n - 1):
+                end = j
+        blocks.append(p[i:end + 1])
+        i = end + 1
+    return node(standardize([b[0] for b in blocks]),
+                *(reference_decompose(standardize(b)) for b in blocks))
+
+
+def random_separable(rng, n):
+    """Merge random neighbours by direct or skew sums until one part is left."""
+    parts = [(1,)] * n
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        a, b = parts[i], parts[i + 1]
+        if rng.random() < 0.5:
+            merged = a + tuple(v + len(a) for v in b)
+        else:
+            merged = tuple(v + len(b) for v in a) + b
+        parts[i:i + 2] = [merged]
+    return parts[0]
+
+
+def test_decompose_matches_the_standardizing_reference():
+    for n in range(1, 9):
+        for p in all_perms(n):
+            assert decompose(p) == reference_decompose(p), p
+    rng = random.Random(2024)
+    for length in (2, 3, 5, 16, 64, 129, 256):
+        for _ in range(6):
+            p = tuple(rng.sample(range(1, length + 1), length))
+            assert decompose(p) == reference_decompose(p), p
+            q = random_separable(rng, length)
+            assert decompose(q) == reference_decompose(q), q
+            assert max_skeleton_length(decompose(q)) <= 2
 
 
 def test_tree_des_ides_on_a_deep_chain():
