@@ -25,9 +25,6 @@ from .permutations import (
     descent_set,
     eulerian_distribution,
     format_permutation,
-    is_simple,
-    is_skew_indecomposable,
-    is_sum_indecomposable,
     parse_permutation,
     simple_distribution,
 )
@@ -185,16 +182,18 @@ def _poly_payload(poly: BivarPoly) -> dict:
 def cmd_stats(args: argparse.Namespace) -> int:
     p = parse_permutation(args.perm)
     d, e = des_ides(p)
-    longest = trees.max_skeleton_length(trees.decompose(p))
+    t = trees.decompose(p)
+    longest = trees.max_skeleton_length(t)
+    # A leaf or a full-length root skeleton is simple; sums have root 12, skew sums 21.
     payload = {
         "permutation": format_permutation(p),
         "n": len(p),
         "descent_set": sorted(descent_set(p)),
         "des": d,
         "ides": e,
-        "simple": is_simple(p),
-        "sum_indecomposable": is_sum_indecomposable(p),
-        "skew_indecomposable": is_skew_indecomposable(p),
+        "simple": t.skeleton is None or len(t.skeleton) == len(p),
+        "sum_indecomposable": t.skeleton != (1, 2),
+        "skew_indecomposable": t.skeleton != (2, 1),
         "in_closure_2": longest <= 2,
         "in_closure_5": longest <= 5,
     }
@@ -315,7 +314,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 "failures": list(report.failures),
             })
     elif suite == "system":
-        report = series.verify_system_identities(max_n, method=method)
+        report = series.verify_system_identities(max_n)
         ok = report.ok
         results = [{"check": name, "pass": passed} for name, passed in report.checks]
     else:  # lemma39

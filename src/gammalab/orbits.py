@@ -263,11 +263,6 @@ def signature_polynomial(sig: ClassSignature) -> BivarPoly:
 # generating the substitution closure directly
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _simple_list(n: int) -> tuple[Permutation, ...]:
-    return tuple(enumerate_simple(n))
-
-
 def _compositions(n: int, parts: int):
     if parts == 1:
         yield (n,)
@@ -286,7 +281,7 @@ def closure_trees(n: int, k: int) -> list[DecompTree]:
     _check_length(n)
     if k < 2:
         raise ValueError("k must be at least 2")
-    skeletons = [s for ell in range(2, min(k, n) + 1) for s in _simple_list(ell)]
+    skeletons = [s for ell in range(2, min(k, n) + 1) for s in enumerate_simple(ell)]
     # pools[(m, forbid)]: the trees with m leaves whose root is not ``forbid``;
     # canonical trees never give a 12 (21) node another 12 (21) as last child.
     pools = {(1, None): [LEAF], (1, _ASC): [LEAF], (1, _DESC): [LEAF]}

@@ -209,14 +209,21 @@ def is_palindromic_bivariate(P: BivarPoly, m: int) -> bool:
 
     The zero polynomial is palindromic of every nonnegative darga.
     """
+    return _symmetry_violation(P, m) is None
+
+
+def _symmetry_violation(P: BivarPoly, m: int) -> str | None:
+    """A message naming the first grid symmetry of darga m that P breaks, or None."""
     if m < 0:
         raise ValueError("darga must be nonnegative")
     for (p, q), v in P.items():
         if P.coeff(q, p) != v:
-            return False
+            return (f"coefficient {v} of s^{p}*t^{q} does not match s^{q}*t^{p}: "
+                    "polynomial is not symmetric in s and t")
         if p > m or q > m or P.coeff(m - p, m - q) != v:
-            return False
-    return True
+            return (f"coefficient {v} of s^{p}*t^{q} has no mirror at s^{m - p}*t^{m - q}: "
+                    f"polynomial is not palindromic of darga {m}")
+    return None
 
 
 def gamma_basis_bivariate(i: int, j: int, m: int) -> BivarPoly:
@@ -257,19 +264,9 @@ def gamma_expand_bivariate(P: BivarPoly, m: int) -> BivarGammaExpansion:
     Raises ExpansionError, naming the violated symmetry, when P is not in the
     span.  The expansion is exact and unique.
     """
-    if m < 0:
-        raise ValueError("darga must be nonnegative")
-    for (p, q), v in P.items():
-        if P.coeff(q, p) != v:
-            raise ExpansionError(
-                f"coefficient {v} of s^{p}*t^{q} does not match s^{q}*t^{p}: "
-                "polynomial is not symmetric in s and t"
-            )
-        if p > m or q > m or P.coeff(m - p, m - q) != v:
-            raise ExpansionError(
-                f"coefficient {v} of s^{p}*t^{q} has no mirror at s^{m - p}*t^{m - q}: "
-                f"polynomial is not palindromic of darga {m}"
-            )
+    violation = _symmetry_violation(P, m)
+    if violation is not None:
+        raise ExpansionError(violation)
     # Rewrite in y = st and e = s+t.  Pairs s^p t^q + s^q t^p (p < q) equal
     # y^p * (s^d + t^d) with d = q-p, and the power sums s^d + t^d follow the
     # recurrence h_d = e*h_{d-1} - y*h_{d-2}.

@@ -20,7 +20,7 @@ root is ``()`` and its second child is ``(1,)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import StructureError
 from .permutations import Permutation, des_ides, inflate, is_simple, standardize
@@ -32,9 +32,11 @@ _DESC = (2, 1)
 _BINARY = {_ASC, _DESC}
 
 
-@dataclass(frozen=True)
-class DecompTree:
-    """A leaf (skeleton None) or an internal node with one child per skeleton entry."""
+class DecompTree(NamedTuple):
+    """A leaf (skeleton None) or an internal node with one child per skeleton entry.
+
+    A named tuple, so trees hash and compare in C (they key the orbit groups).
+    """
     skeleton: tuple[int, ...] | None
     children: tuple["DecompTree", ...] = ()
 

@@ -80,7 +80,7 @@ def test_criterion_02_simple_polynomials_both_routes():
 
 def test_criterion_03_gamma_positivity_sweep():
     start = time.time()
-    S = simple_series(12, method="inversion", f_method="rsk")
+    S = simple_series(12, method="inversion")
     for n in range(4, 13):
         coeff = S.coeff(n)
         assert is_palindromic_bivariate(coeff, n - 1), n

@@ -1,10 +1,22 @@
 """The command-line interface: outputs, formats, determinism, exit codes."""
+import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 
 import pytest
+
+from gammalab import cli
+from gammalab.permutations import (
+    direct_sum,
+    inflate,
+    is_simple,
+    is_skew_indecomposable,
+    is_sum_indecomposable,
+    skew_sum,
+)
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -56,6 +68,23 @@ def test_stats_memberships():
     data = run_json("stats", "132")
     assert data["in_closure_2"] is True
     assert data["in_closure_5"] is True
+
+
+def test_stats_shape_flags_match_the_predicates(capsys):
+    inputs = [p for n in range(1, 7) for p in itertools.permutations(range(1, n + 1))]
+    rng = random.Random(64)
+    for n in (64, 100, 256):
+        inputs.append(tuple(range(2, n + 1, 2)) + tuple(range(1, n + 1, 2)))  # simple
+        for _ in range(3):
+            a = tuple(rng.sample(range(1, n + 1), n))
+            b = tuple(rng.sample(range(1, 33), 32))
+            inputs += [a, direct_sum(a, b), skew_sum(a, b), inflate((2, 4, 1, 3), [a, b, (1,), b])]
+    for p in inputs:
+        assert cli.main(["stats", " ".join(map(str, p)), "--format", "json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["simple"] is is_simple(p), p
+        assert data["sum_indecomposable"] is is_sum_indecomposable(p), p
+        assert data["skew_indecomposable"] is is_skew_indecomposable(p), p
 
 
 def test_decompose_golden():
