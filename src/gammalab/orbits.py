@@ -13,9 +13,14 @@ gamma-basis element to the joint (des, ides) distribution, with exponents read
 off the orbit's minimal representative: the unique tree whose odd chains all
 start with 12 and whose length-4 nodes are all labeled 2413.
 
-Inflation adds des and ides, so a tree's statistics are the sums over its
-skeletons: the closure polynomials and class reports score trees directly and
-never rebuild a permutation.  `closure_trees` keeps no state between calls.
+The closure trees are built bottom-up from pools of smaller trees, and each
+pool record carries the tree's (des, ides) and its minimal representative,
+both made from its children's records (inflation adds des and ides), so the
+class report scores and groups every tree without walking it and never
+rebuilds a permutation.  The trees of the requested size stream one at a
+time; only the smaller pools are kept, and nothing is kept between calls.
+The closure polynomials themselves come by series inversion
+(`series.closure_series`), which generates no tree.
 
 The same bookkeeping at the level of *simplified* trees (labels reduced to
 lengths) factors the full two-sided Eulerian polynomial into per-shape
@@ -24,6 +29,7 @@ products, which is what `verify_reduction` checks exhaustively.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
@@ -42,11 +48,13 @@ from .polys import (
     ONE,
     ONE_PLUS_ST,
     ST,
+    ZERO,
     BivarGammaExpansion,
     BivarPoly,
     gamma_basis_bivariate,
     gamma_expand_bivariate,
 )
+from .series import PowerSeries, closure_series
 from .trees import (
     _ASC,
     _BINARY,
@@ -58,11 +66,9 @@ from .trees import (
     binary_right_chains,
     decompose,
     iter_nodes,
-    leaf_count,
     max_skeleton_length,
     reconstruct,
     simplify,
-    tree_des_ides,
     tree_text,
 )
 
@@ -184,28 +190,37 @@ class ClassSignature:
 
 
 def signature_of(minimal: DecompTree) -> ClassSignature:
-    n21 = n4 = n5 = 0
-    for _, sub in iter_nodes(minimal):
+    """The node counts of ``minimal``, in one stack walk.
+
+    Each stack entry carries the node's position in the binary right chain
+    it continues (0 when it continues none), so every chain is counted at
+    the non-binary node that ends it.
+    """
+    leaves = n21 = n4 = n5 = odd_chains = 0
+    stack = [(minimal, 0)]
+    while stack:
+        sub, position = stack.pop()
         skel = sub.skeleton
-        if skel is None:
-            continue
-        k = len(skel)
-        if k == 2:
+        if skel is not None and len(skel) == 2:
             if skel == _DESC:
                 n21 += 1
-        elif k == 4:
+            stack.append((sub.children[0], 0))
+            stack.append((sub.children[1], position + 1))
+            continue
+        if position % 2:
+            odd_chains += 1
+        if skel is None:
+            leaves += 1
+            continue
+        k = len(skel)
+        if k == 4:
             n4 += 1
         elif k == 5:
             n5 += 1
         else:
             raise ValueError(f"skeleton of length {k} outside the closure of lengths <= 5")
-    return ClassSignature(
-        n=leaf_count(minimal),
-        n21=n21,
-        n4=n4,
-        n5=n5,
-        odd_chains=binary_right_chains(minimal).odd_chain_count,
-    )
+        stack.extend((c, 0) for c in sub.children)
+    return ClassSignature(n=leaves, n21=n21, n4=n4, n5=n5, odd_chains=odd_chains)
 
 
 @dataclass(frozen=True)
@@ -272,34 +287,78 @@ def _compositions(n: int, parts: int):
             yield (first,) + rest
 
 
+def _closure_records(n: int, k: int):
+    """Yield ``(tree, des, ides, normal form)`` for every canonical tree with
+    n leaves whose skeletons have length <= k, one at a time.
+
+    The trees are built bottom-up from pools of smaller records, so a node's
+    statistics are its skeleton's plus its children's, and its normal form
+    (``minimal_representative`` of the node as a chain head) comes from its
+    children's records: a binary node flips iff its chain is odd and led by
+    21, and a 3142 node becomes 2413.  Below the top size a record also
+    carries the node's normal forms inside a binary right chain that is kept
+    or flipped, and the length of the chain it heads (0 if not binary).
+    Records of the top size are never stored.
+    """
+    _check_length(n)
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    skeletons = [(s, des_ides(s)) for ell in range(2, min(k, n) + 1) for s in enumerate_simple(ell)]
+    leaf = (LEAF, 0, 0, LEAF, LEAF, LEAF, 0)
+    # pools[(m, forbid)]: the records with m leaves whose root is not ``forbid``;
+    # canonical trees never give a 12 (21) node another 12 (21) as last child.
+    pools = {(1, None): [leaf], (1, _ASC): [leaf], (1, _DESC): [leaf]}
+
+    def grow(m: int, top: bool):
+        for skel, (sd, se) in skeletons:
+            if len(skel) > m:
+                break
+            if skel in _BINARY:
+                toggled = _TOGGLE[skel]
+                for comp in _compositions(m, 2):
+                    for a, b in itertools.product(pools[(comp[0], None)], pools[(comp[1], skel)]):
+                        t = DecompTree(skel, (a[0], b[0]))
+                        d, e = sd + a[1] + b[1], se + a[2] + b[2]
+                        kept = (t if a[3] is a[0] and b[4] is b[0]
+                                else DecompTree(skel, (a[3], b[4])))
+                        flipped = DecompTree(toggled, (a[3], b[5]))
+                        length = b[6] + 1
+                        nf = flipped if length % 2 and skel == _DESC else kept
+                        yield (t, d, e, nf) if top else (t, d, e, nf, kept, flipped, length)
+                continue
+            swap = skel == (3, 1, 4, 2)
+            label = _TOGGLE[skel] if swap else skel
+            for comp in _compositions(m, len(skel)):
+                for combo in itertools.product(*[pools[(c, None)] for c in comp]):
+                    kids = tuple([r[0] for r in combo])
+                    t = DecompTree(skel, kids)
+                    d = sd + sum([r[1] for r in combo])
+                    e = se + sum([r[2] for r in combo])
+                    forms = tuple([r[3] for r in combo])
+                    if not swap and all(map(operator.is_, forms, kids)):
+                        nf = t
+                    else:
+                        nf = DecompTree(label, forms)
+                    yield (t, d, e, nf) if top else (t, d, e, nf, nf, nf, 0)
+
+    for m in range(2, n):
+        full = list(grow(m, False))
+        pools[(m, None)] = full
+        for forbid in (_ASC, _DESC):
+            pools[(m, forbid)] = [r for r in full if r[0].skeleton != forbid]
+    if n == 1:
+        yield leaf[:4]
+    else:
+        yield from grow(n, True)
+
+
 def closure_trees(n: int, k: int) -> list[DecompTree]:
     """All canonical trees with n leaves whose skeletons have length <= k.
 
     By the decomposition bijection this is exactly the intersection of the
     substitution closure of the short simple permutations with S_n.
     """
-    _check_length(n)
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    skeletons = [s for ell in range(2, min(k, n) + 1) for s in enumerate_simple(ell)]
-    # pools[(m, forbid)]: the trees with m leaves whose root is not ``forbid``;
-    # canonical trees never give a 12 (21) node another 12 (21) as last child.
-    pools = {(1, None): [LEAF], (1, _ASC): [LEAF], (1, _DESC): [LEAF]}
-    for m in range(2, n + 1):
-        full: list[DecompTree] = []
-        for skel in skeletons:
-            if len(skel) > m:
-                break
-            last_forbid = skel if skel in _BINARY else None
-            for comp in _compositions(m, len(skel)):
-                lists = [pools[(c, None)] for c in comp[:-1]]
-                lists.append(pools[(comp[-1], last_forbid)])
-                full.extend(DecompTree(skel, combo) for combo in itertools.product(*lists))
-        pools[(m, None)] = full
-        if m < n:
-            for forbid in (_ASC, _DESC):
-                pools[(m, forbid)] = [t for t in full if t.skeleton != forbid]
-    return pools.get((n, None), [])
+    return [r[0] for r in _closure_records(n, k)]
 
 
 def closure_permutations(n: int, k: int) -> list[Permutation]:
@@ -308,8 +367,16 @@ def closure_permutations(n: int, k: int) -> list[Permutation]:
 
 
 def closure_distribution(n: int, k: int) -> BivarPoly:
-    """Joint (des, ides) polynomial over the closure members of length n."""
-    return BivarPoly(Counter(map(tree_des_ides, closure_trees(n, k))))
+    """Joint (des, ides) polynomial over the closure members of length n.
+
+    The coefficient of x^n in `series.closure_series` of the simple series
+    cut to the lengths 4..k: no tree is generated.
+    """
+    _check_length(n)
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    S = PowerSeries(n, [_simple_poly(ell) if 4 <= ell <= k else ZERO for ell in range(n + 1)])
+    return closure_series(S).coeff(n)
 
 
 # ---------------------------------------------------------------------------
@@ -341,33 +408,42 @@ def closure_class_report(n: int) -> ClosureClassReport:
     """Group the members of length n of the closure of the simple permutations
     of length <= 5 into orbits and check each one.
 
-    Per class: the orbit size is 2^(odd_chains + n4), the node-count identity
-    holds, and the class distribution equals its single gamma-basis element.
-    Classwide: the class counts per (i, j) are exactly the gamma coefficients
-    of the total distribution.
+    The trees stream from the pool builder with their statistics and normal
+    forms, and each class is labeled by one `tree_text` call.  Per class: the
+    orbit size is 2^(odd_chains + n4), the node-count identity holds, and the
+    class distribution equals its single gamma-basis element.  Classwide: the
+    total equals `closure_distribution(n, 5)`, which comes by series
+    inversion, and the class counts per (i, j) are exactly the gamma
+    coefficients of the total distribution.
     """
     groups: defaultdict[DecompTree, Counter] = defaultdict(Counter)
-    for t in closure_trees(n, 5):
-        groups[minimal_representative(t)][tree_des_ides(t)] += 1
+    for _, d, e, nf in _closure_records(n, 5):
+        groups[nf][d, e] += 1
+    labels = {tree_text(m): m for m in groups}
     failures: list[str] = []
     records: list[ClassRecord] = []
     total = BivarPoly()
     gamma_counts: Counter = Counter()
-    for m in sorted(groups, key=tree_text):
-        counts = groups[m]
+    basis: dict[tuple[int, int], BivarPoly] = {}
+    for label in sorted(labels):
+        counts = groups[labels[label]]
         size = counts.total()
-        sig = signature_of(m)
+        sig = signature_of(labels[label])
         dist = BivarPoly(counts)
-        label = tree_text(m)
         if size != sig.orbit_size():
             failures.append(f"{label}: orbit size {size} != 2^(r+v4) = {sig.orbit_size()}")
         if not sig.node_count_identity_holds():
             failures.append(f"{label}: node-count identity fails for {sig}")
-        if dist != signature_polynomial(sig):
+        ij = sig.gamma_i, sig.gamma_j
+        if ij not in basis:
+            basis[ij] = signature_polynomial(sig)
+        if dist != basis[ij]:
             failures.append(f"{label}: distribution is not the expected basis element")
-        gamma_counts[sig.gamma_i, sig.gamma_j] += 1
+        gamma_counts[ij] += 1
         records.append(ClassRecord(label, size, dist, sig))
         total = total + dist
+    if total != closure_distribution(n, 5):
+        failures.append("total distribution differs from the closure series coefficient")
     expansion = gamma_expand_bivariate(total, n - 1)
     if expansion.as_dict() != gamma_counts:
         failures.append("gamma coefficients do not match the class counts per (i, j)")
@@ -382,7 +458,8 @@ def closure_class_report(n: int) -> ClosureClassReport:
 
 @lru_cache(maxsize=None)
 def _simple_poly(length: int) -> BivarPoly:
-    # verify_reduction asks for the same lengths once per group.
+    # verify_reduction asks for the same lengths once per group, and
+    # closure_distribution once per call.
     return simple_distribution(length).poly
 
 

@@ -325,6 +325,29 @@ def simple_series(N: int, method: str = "inversion", threads: int = 1) -> PowerS
     raise ValueError(f"unknown method {method!r} (expected 'inversion' or 'enumerate')")
 
 
+def closure_series(S: PowerSeries) -> PowerSeries:
+    """The series C whose compositional inverse is x/(1+x) + x/(1+stx) - x - S.
+
+    A substitution closure is closed under sums and skew sums, so it solves
+    the system of F with S cut to its simple members: for S holding simp_n
+    for 4 <= n <= k only, coefficient n of C is the joint (des, ides)
+    polynomial over the closure of the simple permutations of length <= k
+    in S_n (Albert & Atkinson, Discrete Math. 2005), and for the full S, C
+    is F itself.  S must have no terms below x^4.
+
+    >>> x4 = PowerSeries(4, [ZERO] * 4)
+    >>> [closure_series(x4).coeff(n).evaluate_at_one() for n in range(1, 5)]
+    [1, 2, 6, 22]
+    """
+    return functional_inverse(_partial_fractions(S.order) - S)
+
+
+def _partial_fractions(N: int) -> PowerSeries:
+    """x/(1+x) + x/(1+stx) - x to order N."""
+    x = PowerSeries.x(N)
+    return x * geometric_inverse(x) + x * geometric_inverse(x * ST) - x
+
+
 def _simple_from_inverse(G: PowerSeries) -> PowerSeries:
     """simp_n = -g_n + (-1)^(n-1) + (-st)^(n-1) for n >= 4; zero below."""
     coeffs = [ZERO] * min(G.order + 1, 4)
@@ -382,9 +405,9 @@ def verify_system_identities(N: int) -> SystemReport:
     lhs = (SoF + x) * one_plus_f * one_plus_stf
     rhs = F * (_one(N) - (F * F) * st)
     checks.append(("solution for the simple series, cleared of denominators", lhs == rhs))
-    # Partial-fraction form: S = -F_inv + x/(1+stx) + x/(1+x) - x.
-    frac = (-G + x * geometric_inverse(x * st) + x * geometric_inverse(x) - x)
-    checks.append(("partial-fraction form reproduces the simple series", frac == S))
+    # Partial-fraction form: S = -F_inv + x/(1+x) + x/(1+stx) - x.
+    checks.append(("partial-fraction form reproduces the simple series",
+                   _partial_fractions(N) - G == S))
     checks.append(("compositional inverse: F(G) = x", F.compose(G) == x))
     checks.append(("compositional inverse: G(F) = x", G.compose(F) == x))
     pal = all(is_palindromic_bivariate(F.coeff(n), n - 1) for n in range(1, N + 1))

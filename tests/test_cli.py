@@ -17,6 +17,7 @@ from gammalab.permutations import (
     is_sum_indecomposable,
     skew_sum,
 )
+from gammalab.polys import BivarPoly
 
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -233,6 +234,19 @@ def test_verify_lemma39():
     last = data["results"][-1]
     assert last["positive"] is True
     assert all(rec["size"] >= 1 for rec in last["classes"])
+
+
+def test_lemma39_fails_when_the_series_disagrees(monkeypatch, capsys):
+    from gammalab import orbits
+    monkeypatch.setattr(orbits, "closure_distribution", lambda n, k: BivarPoly.const(n))
+    report = orbits.closure_class_report(4)
+    assert not report.ok
+    assert report.failures == (
+        "total distribution differs from the closure series coefficient",)
+    assert cli.main(["verify", "--suite", "lemma39", "--max-n", "4", "--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is False
+    assert data["results"][0]["pass"] is True  # n = 1: the constant 1 still matches
 
 
 def test_determinism():

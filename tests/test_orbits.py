@@ -1,11 +1,13 @@
 """Involutions, equivalence classes, and the simplified-tree factorization."""
 import itertools
 import time
+from collections import Counter
 
 import pytest
 
 from gammalab.errors import ResourceBoundError, StructureError
 from gammalab.orbits import (
+    _closure_records,
     class_polynomial,
     closure_class_report,
     closure_distribution,
@@ -20,12 +22,23 @@ from gammalab.orbits import (
     swap_length4_label,
     verify_reduction,
 )
-from gammalab.permutations import des, des_ides, ides, joint_distribution, simple_distribution
+from gammalab.permutations import (
+    des,
+    des_ides,
+    enumerate_simple,
+    ides,
+    joint_distribution,
+    simple_distribution,
+)
 from gammalab.polys import ONE_PLUS_ST, ST, S_PLUS_T, BivarPoly
 from gammalab.trees import (
+    LEAF,
+    DecompTree,
     binary_right_chains,
     decompose,
     in_closure,
+    iter_nodes,
+    leaf_count,
     reconstruct,
     simplify,
     tree_des_ides,
@@ -215,10 +228,50 @@ def test_closure_trees_match_filter():
 
 
 def test_closure_distribution_matches_reconstructed_members():
-    for k in (2, 5):
+    for k in (2, 4, 5):
         for n in range(1, 9):
             members = closure_permutations(n, k)
             assert closure_distribution(n, k) == joint_distribution(members, n).poly
+
+
+def reference_closure_trees(n, k):
+    """The canonical trees with n leaves and skeletons of length <= k, built
+    size by size from plain lists of smaller trees."""
+    skeletons = [s for ell in range(2, min(k, n) + 1) for s in enumerate_simple(ell)]
+    binary = {(1, 2), (2, 1)}
+    pools = {1: [LEAF]}
+    for m in range(2, n + 1):
+        pools[m] = []
+        for skel in skeletons:
+            for comp in itertools.product(range(1, m), repeat=len(skel)):
+                if sum(comp) != m:
+                    continue
+                for kids in itertools.product(*[pools[c] for c in comp]):
+                    if skel in binary and kids[-1].skeleton == skel:
+                        continue
+                    pools[m].append(DecompTree(skel, kids))
+    return pools[n]
+
+
+def test_closure_records_match_trees_and_normal_forms():
+    for k in (2, 5):
+        for n in range(1, 9):
+            records = list(_closure_records(n, k))
+            assert [r[0] for r in records] == reference_closure_trees(n, k)
+            assert closure_trees(n, k) == [r[0] for r in records]
+            for t, d, e, nf in records:
+                assert (d, e) == des_ides(reconstruct(t))
+                assert nf == minimal_representative(t)
+
+
+def test_separable_distribution_counts_are_large_schroeder_numbers():
+    # r_0 = 1, r_m = r_(m-1) + sum_(i<m) r_i r_(m-1-i); S_n has r_(n-1) separable members.
+    r = [1]
+    for m in range(1, 12):
+        r.append(r[-1] + sum(r[i] * r[m - 1 - i] for i in range(m)))
+    assert r[:6] == [1, 2, 6, 22, 90, 394]  # OEIS A006318
+    for n in range(1, 13):
+        assert closure_distribution(n, 2).evaluate_at_one() == r[n - 1]
 
 
 def test_closure_trees_are_canonical():
@@ -257,6 +310,23 @@ def test_closure_and_reduction_refuse_past_the_budget():
         with pytest.raises(ResourceBoundError):
             call()
         assert time.perf_counter() - start < 1.0
+
+
+def three_walk_signature(minimal):
+    """Node counts by a node walk, the chain partition and a leaf count."""
+    counts = Counter(len(sub.skeleton) for _, sub in iter_nodes(minimal) if sub.skeleton)
+    n21 = sum(1 for _, sub in iter_nodes(minimal) if sub.skeleton == (2, 1))
+    return (leaf_count(minimal), n21, counts[4], counts[5],
+            binary_right_chains(minimal).odd_chain_count)
+
+
+def test_signature_of_matches_three_walks_for_every_class():
+    for n in range(1, 9):
+        classes = {minimal_representative(t) for t in closure_trees(n, 5)}
+        for m in classes:
+            sig = signature_of(m)
+            assert (sig.n, sig.n21, sig.n4, sig.n5, sig.odd_chains) == three_walk_signature(m)
+        assert len(classes) == len(closure_class_report(n).classes)
 
 
 def test_signature_of_rejects_long_skeletons():

@@ -18,6 +18,7 @@ from gammalab.series import (
     MAX_RSK_N,
     PowerSeries,
     _tableau_descent_vectors,
+    closure_series,
     eulerian_series,
     functional_inverse,
     geometric_inverse,
@@ -273,6 +274,11 @@ def test_simple_series_methods_agree():
 def test_simple_series_order_bound():
     with pytest.raises(ValueError):
         simple_series(3)
+
+
+def test_closure_series_with_every_simple_length_is_eulerian():
+    # Every permutation lies in the closure of all simple permutations.
+    assert closure_series(simple_series(12)) == eulerian_series(12)
 
 
 def test_simple_composed_with_f_lowest_order():
