@@ -72,6 +72,14 @@ def _decompose(p: Permutation, start: int, stop: int, base: int) -> DecompTree:
     Every part below (a sum or skew part, a maximal block) holds an interval
     of values, so it is passed on as its positions and value offset and only
     the skeleton is standardized.
+
+    A simple quotient's blocks come from a greedy left-to-right scan.  The
+    scan for the block starting at position i stops extending once the value
+    range of p[i..j] reaches into the previous block: that block lies left of
+    i and the range only grows with j, so no p[i..j'] with j' >= j is an
+    interval.  The previous block's values are an interval without p[i], so a
+    range holding p[i] meets it exactly when it passes the block's lowest
+    value.
     """
     n = stop - start
     if n == 1:
@@ -104,16 +112,25 @@ def _decompose(p: Permutation, start: int, stop: int, base: int) -> DecompTree:
     # Simple quotient of length >= 4: the children are the maximal proper
     # blocks, which are pairwise disjoint here, so a greedy left-to-right scan
     # finds them.  Each block is kept as (first, last position, lowest value).
+    # below/above: the previous block's lowest value, on its side of p[i]; a
+    # sentinel above every value stands in before the first block.
     blocks: list[tuple[int, int, int]] = []
     i = start
+    top = low = base + n + 1
     while i < stop:
-        lo = hi = low = p[i]
+        x = p[i]
+        below, above = (low, top) if low < x else (0, low)
+        lo = hi = low = x
         end = i
         for j in range(i + 1, stop):
             v = p[j]
             if v < lo:
+                if v < below:
+                    break
                 lo = v
             elif v > hi:
+                if v > above:
+                    break
                 hi = v
             if hi - lo == j - i and not (i == start and j == stop - 1):
                 end, low = j, lo

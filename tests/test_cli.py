@@ -7,6 +7,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammalab import cli
 from gammalab.permutations import (
@@ -22,14 +24,14 @@ from gammalab.polys import BivarPoly
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_cli(*args, env_extra=None):
+def run_cli(*args, env_extra=None, text=True):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(PKG_ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
         [sys.executable, "-m", "gammalab", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=text, env=env,
     )
 
 
@@ -274,6 +276,80 @@ def test_output_file(tmp_path):
     data = json.loads(target.read_text(encoding="utf-8"))
     assert data["positive"] is True
     assert "\r" not in target.read_text(encoding="utf-8")
+
+
+def test_output_to_an_unwritable_path_is_usage_error(tmp_path):
+    target = tmp_path / "missing" / "x"
+    proc = run_cli("poly", "--target", "eulerian", "--n", "3", "--output", str(target))
+    assert_usage_error(proc, "--output")
+    assert not target.exists()
+
+
+def test_main_serves_requests_back_to_back_like_fresh_processes(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["poly", "--target", "eulerian", "--n", "0"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # Each call leaves its format and --method at their defaults again.
+    for argv in (["stats", "2413", "--format", "csv"],
+                 ["stats", "452398167"],
+                 ["decompose", "452398167", "--format", "json"],
+                 ["decompose", "2 4 1 3"],
+                 ["poly", "--target", "simple", "--n", "6", "--method", "enumerate"],
+                 ["poly", "--target", "simple", "--n", "6", "--format", "json"]):
+        assert cli.main(argv) == 0
+        out = capsys.readouterr().out.encode("utf-8")
+        proc = run_cli(*argv, text=False)
+        assert proc.returncode == 0
+        assert out == proc.stdout, argv
+
+
+def test_threads_default_is_read_on_every_call(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_stats", lambda args: seen.append(args.threads) or 0)
+    for value in ("3", "5"):
+        monkeypatch.setenv("GAMMALAB_THREADS", value)
+        assert cli.main(["stats", "2413"]) == 0
+    assert seen == [3, 5]
+
+
+JSON_SCALARS = (
+    st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\u00e9\U0001f600'))
+    | st.integers() | st.integers(min_value=-10 ** 60, max_value=10 ** 60)
+    | st.booleans() | st.none() | st.floats()
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(JSON_VALUES)
+def test_json_text_is_indented_sorted_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_text_keys_and_tuples_as_json_dumps():
+    for value in ({1: "a", 0: [()]}, {None: (1, "b")}, {True: {}}, {2.5: [[]]}, ("x", (1,))):
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+    with pytest.raises(TypeError):
+        cli._json_text({(1, 2): 0})
+
+
+def test_json_text_writes_deep_nesting_without_recursion():
+    depth = 3000
+    deep = inner = []
+    for _ in range(depth):
+        inner.append([])
+        inner = inner[0]
+    inner.append(1)
+    with pytest.raises(RecursionError):
+        json.dumps(deep, indent=2, sort_keys=True)
+    expected = ("".join("[\n" + "  " * d for d in range(1, depth + 2)) + "1"
+                + "".join("\n" + "  " * d + "]" for d in range(depth, -1, -1)))
+    assert cli._json_text(deep) == expected
 
 
 def test_threads_env_fallback():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from gammalab.errors import StructureError
-from gammalab.permutations import des_ides, is_simple, standardize
+from gammalab.permutations import des_ides, inflate, is_simple, standardize
 from gammalab.trees import (
     LEAF,
     DecompTree,
@@ -136,6 +136,51 @@ def test_decompose_matches_the_standardizing_reference():
             q = random_separable(rng, length)
             assert decompose(q) == reference_decompose(q), q
             assert max_skeleton_length(decompose(q)) <= 2
+
+
+def random_simple(rng, k):
+    while True:
+        p = tuple(rng.sample(range(1, k + 1), k))
+        if is_simple(p):
+            return p
+
+
+def random_inflation(rng, n):
+    """A random simple skeleton inflated by random parts of total length n
+    (at least 4), some of them inflations again."""
+    k = rng.randrange(4, min(12, n) + 1)
+    cuts = sorted(rng.sample(range(1, n), k - 1))
+    parts = []
+    for size in (b - a for a, b in zip([0] + cuts, cuts + [n])):
+        roll = rng.random()
+        if size >= 8 and roll < 0.3:
+            parts.append(random_inflation(rng, size))
+        elif roll < 0.6:
+            parts.append(random_separable(rng, size))
+        else:
+            parts.append(tuple(rng.sample(range(1, size + 1), size)))
+    return inflate(random_simple(rng, k), parts)
+
+
+def late_multi_blocks(t):
+    """How many prime-node blocks of two or more entries are not the first child."""
+    return sum(1 for _, sub in iter_nodes(t)
+               if sub.skeleton is not None and len(sub.skeleton) > 2
+               for c in sub.children[1:] if c.skeleton is not None)
+
+
+def test_decompose_prunes_its_block_scan_soundly():
+    """Inflated prime nodes: blocks of several entries sit after the segment
+    start, so the block scan stops at the previous block's values."""
+    rng = random.Random(8)
+    late = 0
+    for _ in range(120):
+        p = random_inflation(rng, rng.randrange(4, 300))
+        t = decompose(p)
+        assert t == reference_decompose(p), p
+        assert reconstruct(t) == p
+        late += late_multi_blocks(t)
+    assert late > 500
 
 
 def test_tree_des_ides_on_a_deep_chain():
