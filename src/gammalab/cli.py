@@ -322,8 +322,8 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     t = trees.decompose(p)
     part = trees.binary_right_chains(t)
     chains = []
-    for chain in part.chains:
-        labels = ["".join(map(str, trees.subtree_at(t, path).skeleton)) for path in chain]
+    for chain, skeletons in zip(part.chains, part.skeletons):
+        labels = ["".join(map(str, skeleton)) for skeleton in skeletons]
         chains.append({
             "paths": [list(path) for path in chain],
             "labels": labels,

@@ -235,8 +235,10 @@ class ChainPartition:
 
     Every node labeled 12 or 21 lies in exactly one chain; chains are listed
     in preorder of their head node, each as a head-to-tail tuple of paths.
+    ``skeletons[c][k]`` is the label of the node at ``chains[c][k]``.
     """
     chains: tuple[tuple[Path, ...], ...]
+    skeletons: tuple[tuple[Permutation, ...], ...]
 
     @property
     def odd_chain_count(self) -> int:
@@ -251,6 +253,7 @@ def binary_right_chains(t: DecompTree) -> ChainPartition:
     (4, 3)
     """
     chains: list[tuple[Path, ...]] = []
+    skeletons: list[tuple[Permutation, ...]] = []
 
     def walk(sub: DecompTree, path: Path, under_chain: bool) -> None:
         if sub.skeleton is None:
@@ -258,19 +261,22 @@ def binary_right_chains(t: DecompTree) -> ChainPartition:
         binary = sub.skeleton in _BINARY
         if binary and not under_chain:
             chain: list[Path] = []
+            labels: list[Permutation] = []
             cur, cpath = sub, path
             while cur.skeleton in _BINARY:
                 chain.append(cpath)
+                labels.append(cur.skeleton)
                 nxt = cur.children[-1]
                 cpath = cpath + (len(cur.children) - 1,)
                 cur = nxt
             chains.append(tuple(chain))
+            skeletons.append(tuple(labels))
         last = len(sub.children) - 1
         for i, c in enumerate(sub.children):
             walk(c, path + (i,), binary and i == last)
 
     walk(t, (), False)
-    return ChainPartition(tuple(chains))
+    return ChainPartition(tuple(chains), tuple(skeletons))
 
 
 def is_canonical(t: DecompTree) -> bool:

@@ -156,10 +156,12 @@ def test_poly_resource_exit_code():
 
 
 def test_parse_error_exit_code():
-    proc = run_cli("stats", "4x21")
-    assert proc.returncode == 2
-    proc = run_cli("stats", "1 2 2")
-    assert proc.returncode == 2
+    # Superscript and Arabic-Indic digits pass str.isdigit(); "1_0" passes int().
+    for text in ("4x21", "1 2 2", "\u00b21", "\u2074", "1_0 2", "\u0661 \u0662"):
+        proc = run_cli("stats", text)
+        assert proc.returncode == 2, text
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:") and proc.stdout == ""
 
 
 def test_usage_error_exit_code():

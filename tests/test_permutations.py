@@ -6,6 +6,8 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammalab.errors import DistributionError, ParseError, ResourceBoundError
 from gammalab.permutations import (
@@ -319,8 +321,8 @@ def test_parallel_reduction_is_bit_identical():
     assert _simple_counts(7, 2) == _simple_counts(7, 1) == Counter(dict(spar.poly.items()))
 
 
-# A111111: the number of simple permutations of length n, n = 1..10.
-SIMPLE_COUNTS = (1, 2, 0, 2, 6, 46, 338, 2926, 28146, 298526)
+# A111111: the number of simple permutations of length n, n = 1..11.
+SIMPLE_COUNTS = (1, 2, 0, 2, 6, 46, 338, 2926, 28146, 298526, 3454434)
 
 
 def test_eulerian_dp_matches_enumeration_and_tableaux():
@@ -344,6 +346,18 @@ def test_simple_counts_match_a111111():
         d = simple_distribution(n, threads=0)
         assert d.count == count, n
         d.check()
+
+
+def test_every_first_value_shard_matches_filtered_enumeration():
+    for n in range(1, 9):
+        simple = [p for p in enumerate_permutations(n) if is_simple(p)]
+        for a in range(1, n + 1):
+            expected = Counter(des_ides(p) for p in simple if p[0] == a)
+            assert _tally_simple_shard((n, (a,))) == expected, (n, a)
+        if n >= 3:
+            # The rest of 1 or of n is an interval, a block of length n - 1.
+            assert _tally_simple_shard((n, (1,))) == Counter()
+            assert _tally_simple_shard((n, (n,))) == Counter()
 
 
 def test_simple_walk_shards_by_pairs():
@@ -395,9 +409,22 @@ def test_parse_permutation_formats():
 
 
 def test_parse_permutation_errors():
-    for bad in ("", "4x2", "11", "1 2 2", "0 1", "2 4"):
+    for bad in ("", "4x2", "11", "1 2 2", "0 1", "2 4",
+                # ASCII 0-9 only: no signs, underscores or other Unicode digits.
+                "\u00b21", "\u2074", "1_0 2", "\u0661 \u0662", "-1 2", "+1", "1 \u00b2",
+                "1" * 5000 + " 1"):  # more digits than int() converts
         with pytest.raises(ParseError):
             parse_permutation(bad)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text() | st.text(alphabet="0123456789 ,\t-+_\u00b2\u2074\u0661\uff11"))
+def test_parse_permutation_returns_a_permutation_or_raises_parse_error(text):
+    try:
+        p = parse_permutation(text)
+    except ParseError:
+        return
+    assert sorted(p) == list(range(1, len(p) + 1))
 
 
 def test_check_permutation():

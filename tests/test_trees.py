@@ -261,6 +261,19 @@ def test_chains_cover_binary_nodes_once():
                     assert a != b
 
 
+def test_chain_skeletons_match_the_subtree_lookup():
+    rng = random.Random(31)
+    inputs = [tuple(rng.sample(range(1, n + 1), n)) for n in (4, 9, 30, 120, 400)]
+    inputs += [random_separable(rng, n) for n in (2, 7, 40, 150, 300)]
+    inputs += [random_inflation(rng, n) for n in (12, 90, 250)]
+    for p in inputs:
+        t = decompose(p)
+        part = binary_right_chains(t)
+        assert len(part.skeletons) == len(part.chains)
+        for chain, skeletons in zip(part.chains, part.skeletons):
+            assert skeletons == tuple(subtree_at(t, path).skeleton for path in chain)
+
+
 def test_is_canonical():
     for n in range(1, 7):
         for p in all_perms(n):
