@@ -63,12 +63,12 @@ from .trees import (
     DecompTree,
     Path,
     SimplifiedTree,
+    _split,
     binary_right_chains,
     decompose,
     iter_nodes,
     max_skeleton_length,
     reconstruct,
-    simplify,
     tree_text,
 )
 
@@ -539,9 +539,7 @@ def verify_reduction(n: int) -> ReductionReport:
     comparison is an independent cross-check of this enumeration, not a second
     pass over S_n.
     """
-    groups: defaultdict[SimplifiedTree, Counter] = defaultdict(Counter)
-    for p in enumerate_permutations(n):
-        groups[simplify(decompose(p))][des_ides(p)] += 1
+    groups = _simplified_groups(n)
     failures: list[str] = []
     total = BivarPoly()
     for st in sorted(groups, key=repr):
@@ -552,3 +550,66 @@ def verify_reduction(n: int) -> ReductionReport:
         total = total + dist
     matches = total == eulerian_distribution(n).poly
     return ReductionReport(n, len(groups), tuple(failures), total, matches)
+
+
+def _simplified_groups(n: int) -> dict[SimplifiedTree, Counter]:
+    """The (des, ides) tally of S_n, grouped by ``simplify(decompose(p))``.
+
+    No tree is built per permutation: each p costs one root split, one
+    `_ShapeIndex` lookup per part and one `des_ides`.  Its (des, ides) is
+    read from p itself, not summed over skeletons: that additivity is what
+    `verify_reduction` tests.
+    """
+    _check_length(n)
+    index = _ShapeIndex(n)
+    tally: Counter = Counter()  # tally[part indices, (des, ides)]
+    if n == 1:
+        tally[(), (0, 0)] = 1
+    else:
+        key = index.key
+        for p in enumerate_permutations(n):
+            tally[key(bytes(p)), des_ides(p)] += 1
+    shapes = index.shapes
+    groups: defaultdict[SimplifiedTree, Counter] = defaultdict(Counter)
+    for (parts, de), c in tally.items():
+        groups[tuple([shapes[i] for i in parts])][de] = c
+    return groups
+
+
+# _ShapeIndex keeps the patterns up to this length once met: all of S_1..S_9
+# is 409113 patterns, and `verify --suite reduction --max-n 10` peaks at
+# about 104 MB.  Longer parts (from n = 11) are split again where they occur,
+# so the index never grows past that.
+_SHAPE_MEMO_MAX = 9
+
+
+class _ShapeIndex(dict):
+    """Pattern (as bytes) -> index in ``shapes`` of its simplified tree.
+
+    A pattern's simplified tree is the tuple of its root parts' trees, and
+    every part is a shorter pattern, so a missing pattern is indexed from its
+    parts' indices.  A part is standardized by a bytes ``translate``.
+    """
+
+    def __init__(self, n: int):
+        super().__init__({b"\x01": 0})
+        self.shapes: list[SimplifiedTree] = [()]
+        self._by_parts: dict[tuple[int, ...], int] = {}
+        # _shift[b] takes each byte v to v - b, standardizing a part with offset b.
+        self._shift = [bytes((v - b) % 256 for v in range(256)) for b in range(n)]
+
+    def key(self, pattern: bytes) -> tuple[int, ...]:
+        """The indices of the trees of the root parts of ``pattern`` (length >= 2)."""
+        shift = self._shift
+        _, parts = _split(pattern, 0, len(pattern), 0)
+        return tuple([self[pattern[x:y].translate(shift[z])] for x, y, z in parts])
+
+    def __missing__(self, pattern: bytes) -> int:
+        parts = self.key(pattern)
+        sid = self._by_parts.get(parts)
+        if sid is None:
+            sid = self._by_parts[parts] = len(self.shapes)
+            self.shapes.append(tuple([self.shapes[i] for i in parts]))
+        if len(pattern) <= _SHAPE_MEMO_MAX:
+            self[pattern] = sid
+        return sid

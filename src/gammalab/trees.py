@@ -67,63 +67,84 @@ def decompose(p: Permutation) -> DecompTree:
 
 
 def _decompose(p: Permutation, start: int, stop: int, base: int) -> DecompTree:
-    """The tree of the segment p[start:stop], whose values are base+1..base+n.
-
-    Every part below (a sum or skew part, a maximal block) holds an interval
-    of values, so it is passed on as its positions and value offset and only
-    the skeleton is standardized.
-
-    A simple quotient's blocks come from a greedy left-to-right scan.  The
-    scan for the block starting at position i stops extending once the value
-    range of p[i..j] reaches into the previous block: that block lies left of
-    i and the range only grows with j, so no p[i..j'] with j' >= j is an
-    interval.  The previous block's values are an interval without p[i], so a
-    range holding p[i] meets it exactly when it passes the block's lowest
-    value.
-    """
-    n = stop - start
-    if n == 1:
+    """The tree of the segment p[start:stop], whose values are base+1..base+n."""
+    if stop - start == 1:
         return LEAF
-    # Direct sum: split before the last maximal sum-component, so the right
-    # part is sum-indecomposable and repeated sums chain through left children.
-    split = 0
-    mx = 0
-    for i in range(start, stop - 1):
+    skeleton, parts = _split(p, start, stop, base)
+    if len(parts) == 2:
+        # Binary nodes recurse without a comprehension frame, so a chain of
+        # sums costs one interpreter frame per level.
+        return DecompTree(skeleton, (_decompose(p, *parts[0]), _decompose(p, *parts[1])))
+    return DecompTree(skeleton, tuple(_decompose(p, *part) for part in parts))
+
+
+Part = tuple[int, int, int]  # (start, stop, base) of a segment holding an interval
+
+
+def _split(p: Permutation, start: int, stop: int, base: int) -> tuple[Permutation, list[Part]]:
+    """The root of the tree of p[start:stop] (length >= 2, values
+    base+1..base+n): its skeleton, and its parts as (start, stop, base).
+
+    Every part holds an interval of values, so it is passed on as its
+    positions and value offset and only the skeleton is standardized.  ``p``
+    may be any sequence of ints, bytes included.
+
+    >>> _split((2, 1, 3, 5, 4), 0, 5, 0)
+    ((1, 2), [(0, 3, 0), (3, 5, 3)])
+    >>> _split((3, 4, 1, 2), 0, 4, 0)
+    ((2, 1), [(0, 2, 2), (2, 4, 0)])
+    >>> _split((4, 5, 2, 3, 9, 8, 1, 6, 7), 0, 9, 0)
+    ((2, 4, 1, 3), [(0, 4, 1), (4, 6, 7), (6, 7, 0), (7, 9, 5)])
+
+    One right-to-left pass looks at every proper suffix that is an interval.
+    It stops at the shortest one holding the top values (a sum: its lowest
+    value is base + i - start + 1) or the bottom values (a skew sum: its
+    highest is base + stop - i).  That suffix is the last sum or skew
+    component, so the left part is as long as possible, repeated sums chain
+    through left children, and a binary node costs the length of its last
+    component.  No segment is both a sum and a skew sum.
+
+    Otherwise the root is a simple quotient of length >= 4 whose children
+    are the maximal proper blocks.  They are disjoint here, so each is the
+    longest interval ending where the block to its right begins: the pass
+    has found the last one, and a scan leftwards finds each of the others.
+    The scan for the block ending at position j stops once the value range
+    of p[i..j] reaches into the block to its right: that block's values are
+    an interval without p[j], and the range only grows as i falls, so no
+    longer p[i'..j] is an interval.  A range holding p[j] meets that block
+    exactly when it passes the block's lowest value: from above when the
+    block lies below p[j] (``below``), from below when it lies above
+    (``above``).
+    """
+    last = stop - 1
+    top = base - start + 1  # a suffix from i holds the top values iff its lowest is top + i
+    bottom = base + stop    # ... and the bottom values iff its highest is bottom - i
+    lo = hi = p[last]
+    for i in range(last, start, -1):
         v = p[i]
-        if v > mx:
-            mx = v
-        if mx == base + i - start + 1:
-            split = i + 1
-    if split:
-        return DecompTree(_ASC, (_decompose(p, start, split, base),
-                                 _decompose(p, split, stop, base + split - start)))
-    # Skew sum, dually: the prefix holding the top values is as long as possible.
-    split = 0
-    mn = base + n + 1
-    for i in range(start, stop - 1):
-        v = p[i]
-        if v < mn:
-            mn = v
-        if mn == base + n - (i - start):
-            split = i + 1
-    if split:
-        return DecompTree(_DESC, (_decompose(p, start, split, base + stop - split),
-                                  _decompose(p, split, stop, base)))
-    # Simple quotient of length >= 4: the children are the maximal proper
-    # blocks, which are pairwise disjoint here, so a greedy left-to-right scan
-    # finds them.  Each block is kept as (first, last position, lowest value).
-    # below/above: the previous block's lowest value, on its side of p[i]; a
-    # sentinel above every value stands in before the first block.
-    blocks: list[tuple[int, int, int]] = []
-    i = start
-    top = low = base + n + 1
-    while i < stop:
-        x = p[i]
-        below, above = (low, top) if low < x else (0, low)
+        if v < lo:
+            lo = v
+        elif v > hi:
+            hi = v
+        if hi - lo + i == last:
+            if lo == top + i:
+                return _ASC, [(start, i, base), (i, stop, base + i - start)]
+            if hi == bottom - i:
+                return _DESC, [(start, i, base + stop - i), (i, stop, base)]
+            first, low = i, lo
+    parts = [(first, stop, low - 1)]
+    ceiling = base + stop - start + 1  # above every value
+    j = first - 1
+    while j >= start:
+        x = p[j]
+        if low < x:
+            below, above = low, ceiling
+        else:
+            below, above = 0, low
         lo = hi = low = x
-        end = i
-        for j in range(i + 1, stop):
-            v = p[j]
+        first = j
+        for i in range(j - 1, start - 1, -1):
+            v = p[i]
             if v < lo:
                 if v < below:
                     break
@@ -132,13 +153,12 @@ def _decompose(p: Permutation, start: int, stop: int, base: int) -> DecompTree:
                 if v > above:
                     break
                 hi = v
-            if hi - lo == j - i and not (i == start and j == stop - 1):
-                end, low = j, lo
-        blocks.append((i, end, low))
-        i = end + 1
-    skeleton = standardize([low for _, _, low in blocks])
-    children = tuple(_decompose(p, i, end + 1, low - 1) for i, end, low in blocks)
-    return DecompTree(skeleton, children)
+            if hi - lo == j - i:
+                first, low = i, lo
+        parts.append((first, j + 1, low - 1))
+        j = first - 1
+    parts.reverse()
+    return standardize([b for _, _, b in parts]), parts
 
 
 def reconstruct(t: DecompTree) -> Permutation:

@@ -157,11 +157,13 @@ def test_poly_resource_exit_code():
 
 def test_parse_error_exit_code():
     # Superscript and Arabic-Indic digits pass str.isdigit(); "1_0" passes int().
-    for text in ("4x21", "1 2 2", "\u00b21", "\u2074", "1_0 2", "\u0661 \u0662"):
+    # A long non-permutation names one value, not the whole tuple.
+    for text in ("4x21", "1 2 2", "\u00b21", "\u2074", "1_0 2", "\u0661 \u0662", "1" * 5000):
         proc = run_cli("stats", text)
         assert proc.returncode == 2, text
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:") and proc.stdout == ""
+        assert proc.stderr.count("\n") == 1 and len(proc.stderr) < 100, proc.stderr
 
 
 def test_usage_error_exit_code():

@@ -5,9 +5,11 @@ from collections import Counter
 
 import pytest
 
+from gammalab import orbits
 from gammalab.errors import ResourceBoundError, StructureError
 from gammalab.orbits import (
     _closure_records,
+    _simplified_groups,
     class_polynomial,
     closure_class_report,
     closure_distribution,
@@ -375,6 +377,27 @@ def test_verify_reduction():
     )
     r7 = verify_reduction(7)
     assert r7.ok
+
+
+def tree_oracle_groups(n):
+    groups = {}
+    for p in all_perms(n):
+        groups.setdefault(simplify(decompose(p)), Counter())[des_ides(p)] += 1
+    return groups
+
+
+def test_reduction_groups_match_the_tree_oracle(monkeypatch):
+    # The oracle builds every tree; the groups come from root splits and an
+    # index of shorter patterns' shapes.
+    for n in range(1, 8):
+        assert _simplified_groups(n) == tree_oracle_groups(n), n
+    # Parts longer than the index keeps are split again where they occur.
+    monkeypatch.setattr(orbits, "_SHAPE_MEMO_MAX", 3)
+    assert _simplified_groups(7) == tree_oracle_groups(7)
+    index = orbits._ShapeIndex(7)
+    for p in all_perms(7):
+        index.key(bytes(p))
+    assert max(map(len, index)) == 3
 
 
 def test_wreath_style_inflations_stay_in_closure():

@@ -39,7 +39,7 @@ from gammalab.permutations import (
     standardize,
 )
 from gammalab.polys import BivarPoly
-from gammalab.series import rsk_two_sided_eulerian
+from gammalab.series import rsk_two_sided_eulerian, simple_series
 
 A4 = BivarPoly({(0, 0): 1, (1, 1): 10, (2, 2): 10, (3, 3): 1, (1, 2): 1, (2, 1): 1})
 
@@ -346,6 +346,23 @@ def test_simple_counts_match_a111111():
         d = simple_distribution(n, threads=0)
         assert d.count == count, n
         d.check()
+    # n = 11 walks half of its two-value shards and mirrors the rest.
+    assert d.poly == simple_series(11, method="inversion").coeff(11)
+
+
+def mirrored(counts, n):
+    return Counter({(n - 1 - d, n - 1 - e): c for (d, e), c in counts.items()})
+
+
+def test_complement_mirrors_every_shard():
+    # _simple_counts walks only the prefixes q <= complement(q).
+    for n in range(1, 10):
+        for a in range(1, n + 1):
+            assert _tally_simple_shard((n, (a,))) == mirrored(
+                _tally_simple_shard((n, (n + 1 - a,))), n), (n, a)
+    for a, b in ((2, 4), (3, 9), (6, 2)):
+        assert _tally_simple_shard((11, (a, b))) == mirrored(
+            _tally_simple_shard((11, (12 - a, 12 - b))), 11), (a, b)
 
 
 def test_every_first_value_shard_matches_filtered_enumeration():
@@ -433,3 +450,10 @@ def test_check_permutation():
         check_permutation([1, 3])
     with pytest.raises(ValueError):
         check_permutation([])
+    # The message names one value, not the whole tuple.
+    for values, message in (([1] * 5000, "value 1 is repeated in a permutation of 1..5000"),
+                            ([1, 10 ** 40, 2], "value 10000000000000000000... is not in 1..3"),
+                            (list(range(1, 4000)) + [0], "value 0 is not in 1..4000")):
+        with pytest.raises(ValueError) as info:
+            check_permutation(values)
+        assert str(info.value) == message

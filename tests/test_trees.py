@@ -9,6 +9,7 @@ from gammalab.permutations import des_ides, inflate, is_simple, standardize
 from gammalab.trees import (
     LEAF,
     DecompTree,
+    _split,
     binary_right_chains,
     decompose,
     in_closure,
@@ -136,6 +137,41 @@ def test_decompose_matches_the_standardizing_reference():
             q = random_separable(rng, length)
             assert decompose(q) == reference_decompose(q), q
             assert max_skeleton_length(decompose(q)) <= 2
+
+
+def assert_split_walk_matches(p, ref):
+    """Drive ``_split`` from the root and compare each node with ``ref``
+    iteratively, so trees deeper than the recursion limit's slack compare too
+    (tuple equality recurses in C)."""
+    stack = [((0, len(p), 0), ref)]
+    while stack:
+        (start, stop, base), t = stack.pop()
+        assert sorted(p[start:stop]) == list(range(base + 1, base + 1 + stop - start))
+        if stop - start == 1:
+            assert t is LEAF
+            continue
+        skeleton, parts = _split(p, start, stop, base)
+        assert skeleton == t.skeleton, (start, stop)
+        assert parts[0][0] == start and parts[-1][1] == stop
+        assert all(x[1] == y[0] for x, y in zip(parts, parts[1:]))
+        stack.extend(zip(parts, t.children))
+
+
+def test_split_matches_the_reference_on_long_separable_and_monotone_inputs():
+    rng = random.Random(10)
+    for length in (17, 100, 250, 400):
+        for _ in range(4):
+            q = random_separable(rng, length)
+            assert_split_walk_matches(q, reference_decompose(q))
+    # A chain of 899 sums (or skew sums): one frame per level in both.
+    for q in (tuple(range(1, 901)), tuple(range(900, 0, -1))):
+        ref = reference_decompose(q)
+        assert_split_walk_matches(q, ref)
+        t = decompose(q)
+        assert [s.skeleton for _, s in iter_nodes(t)] == [s.skeleton for _, s in iter_nodes(ref)]
+    # Bytes index to ints, so the split reads them as it reads tuples.
+    for p in all_perms(6):
+        assert _split(bytes(p), 0, 6, 0) == _split(p, 0, 6, 0)
 
 
 def random_simple(rng, k):
