@@ -435,8 +435,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         results = [{"check": name, "pass": passed} for name, passed in report.checks]
     else:  # lemma39
         _check_enum_bound(max_n, args.long_run, "a smaller --max-n")
+        orbits.check_closure_tree_length(max_n)
         for n in range(1, max_n + 1):
             report = orbits.closure_class_report(n)
+            expansion = report.expansion
             passed = report.ok
             ok = ok and passed
             results.append({
@@ -451,8 +453,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
                     for rec in report.classes
                 ],
                 "polynomial": _poly_payload(report.total),
-                "gamma": report.expansion.json_form(),
-                "positive": report.expansion.is_positive(),
+                "gamma": None if expansion is None else expansion.json_form(),
+                "positive": expansion is not None and expansion.is_positive(),
                 "pass": passed,
                 "failures": list(report.failures),
             })

@@ -14,13 +14,17 @@ off the orbit's minimal representative: the unique tree whose odd chains all
 start with 12 and whose length-4 nodes are all labeled 2413.
 
 The closure trees are built bottom-up from pools of smaller trees, and each
-pool record carries the tree's (des, ides) and its minimal representative,
-both made from its children's records (inflation adds des and ides), so the
-class report scores and groups every tree without walking it and never
-rebuilds a permutation.  The trees of the requested size stream one at a
-time; only the smaller pools are kept, and nothing is kept between calls.
-The closure polynomials themselves come by series inversion
-(`series.closure_series`), which generates no tree.
+pool record carries the tree's (des, ides), its minimal representative and
+that representative's `tree_text`, all made from its children's records
+(inflation adds des and ides; a text is one join of the children's texts).
+The records of the requested size stream one at a time with their
+statistics and label text but no tree, so the class report scores and
+groups every tree by a string key without building, walking or rendering
+it, and builds one minimal tree per class, for its signature.  Only the
+smaller pools are kept, nothing is kept between calls, and sizes past
+`MAX_CLOSURE_TREE_N` are refused before any pool is built.  The closure
+polynomials themselves come by series inversion (`series.closure_series`),
+which generates no tree.
 
 The same bookkeeping at the level of *simplified* trees (labels reduced to
 lengths) factors the full two-sided Eulerian polynomial into per-shape
@@ -29,12 +33,11 @@ products, which is what `verify_reduction` checks exhaustively.
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import StructureError
+from .errors import ExpansionError, ResourceBoundError, StructureError
 from .permutations import (
     Permutation,
     _check_length,
@@ -63,13 +66,13 @@ from .trees import (
     DecompTree,
     Path,
     SimplifiedTree,
+    _skeleton_text,
     _split,
     binary_right_chains,
     decompose,
     iter_nodes,
     max_skeleton_length,
     reconstruct,
-    tree_text,
 )
 
 _LEN4 = {(2, 4, 1, 3), (3, 1, 4, 2)}
@@ -287,69 +290,147 @@ def _compositions(n: int, parts: int):
             yield (first,) + rest
 
 
-def _closure_records(n: int, k: int):
-    """Yield ``(tree, des, ides, normal form)`` for every canonical tree with
-    n leaves whose skeletons have length <= k, one at a time.
+# The tree route's size cap.  On a 2-vCPU host `closure_class_report(11)`
+# takes about 32 s and peaks at about 670 MB (1.1M pool records, 424330
+# classes).  n = 12 would hold 6.7M pool records and stream 36.9M trees into
+# about six times the classes, an estimated 4 GB, so it is refused before any
+# pool is built.
+MAX_CLOSURE_TREE_N = 11
 
-    The trees are built bottom-up from pools of smaller records, so a node's
-    statistics are its skeleton's plus its children's, and its normal form
-    (``minimal_representative`` of the node as a chain head) comes from its
-    children's records: a binary node flips iff its chain is odd and led by
-    21, and a 3142 node becomes 2413.  Below the top size a record also
-    carries the node's normal forms inside a binary right chain that is kept
-    or flipped, and the length of the chain it heads (0 if not binary).
-    Records of the top size are never stored.
-    """
+
+def check_closure_tree_length(n: int) -> None:
+    """Refuse a tree size the pools cannot hold: past `MAX_CLOSURE_TREE_N`
+    (or outside what `_check_length` allows)."""
     _check_length(n)
+    if n > MAX_CLOSURE_TREE_N:
+        raise ResourceBoundError(
+            f"closure trees of size {n} exceed the tree-route bound {MAX_CLOSURE_TREE_N}"
+        )
+
+
+# A pool record is the tuple
+#   (tree, des, ides, nf, kept, flipped, length, nf_text, kept_text, flipped_text):
+# the tree, its statistics, its normal form as a chain head (nf) and inside a
+# binary right chain that is kept or flipped, the length of the chain it heads
+# (0 if not binary), and the `tree_text` of each normal form.
+_LEAF_RECORD = (LEAF, 0, 0, LEAF, LEAF, LEAF, 0, ".", ".", ".")
+
+
+@lru_cache(maxsize=64)
+def _head(skel: tuple[int, ...]) -> str:
+    """The text of a node labeled ``skel`` up to its first child: ``2413[``."""
+    return _skeleton_text(skel) + "["
+
+
+def _node_forms(skel: Permutation | None, kids: tuple, forms: dict) -> tuple:
+    """The fields nf .. flipped_text of the record of a node labeled
+    ``skel``, from its children's records ``kids``.
+
+    A binary node flips iff its chain is odd and led by 21, and a 3142 node
+    becomes 2413.  Each text is one join of the children's texts, and
+    ``forms`` (text -> (tree, text)) hands back the first tree and text made
+    for it, so records with equal normal forms share one object of each.
+    """
+    if skel is None:
+        return _LEAF_RECORD[3:]
+    if skel in _BINARY:
+        a, b = kids
+        toggled = _TOGGLE[skel]
+        text = f"{_head(skel)}{a[7]},{b[8]}]"
+        kept, kept_text = forms.get(text) or _new_form(forms, text, DecompTree(skel, (a[3], b[4])))
+        text = f"{_head(toggled)}{a[7]},{b[9]}]"
+        flipped, flipped_text = forms.get(text) or _new_form(
+            forms, text, DecompTree(toggled, (a[3], b[5])))
+        length = b[6] + 1
+        if length % 2 and skel == _DESC:
+            return flipped, kept, flipped, length, flipped_text, kept_text, flipped_text
+        return kept, kept, flipped, length, kept_text, kept_text, flipped_text
+    label = _TOGGLE[skel] if skel == (3, 1, 4, 2) else skel
+    text = f"{_head(label)}{','.join([r[7] for r in kids])}]"
+    nf, text = forms.get(text) or _new_form(forms, text, DecompTree(label, tuple([r[3] for r in kids])))
+    return nf, nf, nf, 0, text, text, text
+
+
+def _new_form(forms: dict, text: str, tree: DecompTree) -> tuple[DecompTree, str]:
+    forms[text] = form = (tree, text)
+    return form
+
+
+def _parts_tree(parts: tuple) -> DecompTree:
+    """The tree of a top-size record's ``parts`` (its skeleton and children's records)."""
+    skel, kids = parts
+    return DecompTree(skel, tuple([r[0] for r in kids]))
+
+
+def _parts_normal_form(parts: tuple) -> DecompTree:
+    """``minimal_representative`` of the tree of ``parts``, from its children's records."""
+    return _node_forms(*parts, {})[0]
+
+
+def _closure_records(n: int, k: int):
+    """Yield ``(des, ides, label, parts)`` for every canonical tree with n
+    leaves whose skeletons have length <= k, one at a time.
+
+    ``label`` is ``tree_text(minimal_representative(t))`` and ``parts`` is
+    the root skeleton with the children's pool records, from which
+    `_parts_tree` and `_parts_normal_form` build the tree and its normal form.
+    The trees are built bottom-up from pools of smaller records, so a node's
+    statistics are its skeleton's plus its children's, and its normal forms
+    and their texts come from its children's records (`_node_forms`).
+    Records of the top size build neither tree and are never stored.
+    """
+    check_closure_tree_length(n)
     if k < 2:
         raise ValueError("k must be at least 2")
     skeletons = [(s, des_ides(s)) for ell in range(2, min(k, n) + 1) for s in enumerate_simple(ell)]
-    leaf = (LEAF, 0, 0, LEAF, LEAF, LEAF, 0)
     # pools[(m, forbid)]: the records with m leaves whose root is not ``forbid``;
     # canonical trees never give a 12 (21) node another 12 (21) as last child.
-    pools = {(1, None): [leaf], (1, _ASC): [leaf], (1, _DESC): [leaf]}
+    pools = {(1, forbid): [_LEAF_RECORD] for forbid in (None, _ASC, _DESC)}
+    forms: dict[str, tuple[DecompTree, str]] = {}
 
-    def grow(m: int, top: bool):
+    def blocks(m: int):
+        """(skeleton, des, ides, iterable of children's records) for size m."""
         for skel, (sd, se) in skeletons:
             if len(skel) > m:
                 break
             if skel in _BINARY:
-                toggled = _TOGGLE[skel]
-                for comp in _compositions(m, 2):
-                    for a, b in itertools.product(pools[(comp[0], None)], pools[(comp[1], skel)]):
-                        t = DecompTree(skel, (a[0], b[0]))
-                        d, e = sd + a[1] + b[1], se + a[2] + b[2]
-                        kept = (t if a[3] is a[0] and b[4] is b[0]
-                                else DecompTree(skel, (a[3], b[4])))
-                        flipped = DecompTree(toggled, (a[3], b[5]))
-                        length = b[6] + 1
-                        nf = flipped if length % 2 and skel == _DESC else kept
-                        yield (t, d, e, nf) if top else (t, d, e, nf, kept, flipped, length)
-                continue
-            swap = skel == (3, 1, 4, 2)
-            label = _TOGGLE[skel] if swap else skel
-            for comp in _compositions(m, len(skel)):
-                for combo in itertools.product(*[pools[(c, None)] for c in comp]):
-                    kids = tuple([r[0] for r in combo])
-                    t = DecompTree(skel, kids)
-                    d = sd + sum([r[1] for r in combo])
-                    e = se + sum([r[2] for r in combo])
-                    forms = tuple([r[3] for r in combo])
-                    if not swap and all(map(operator.is_, forms, kids)):
-                        nf = t
-                    else:
-                        nf = DecompTree(label, forms)
-                    yield (t, d, e, nf) if top else (t, d, e, nf, nf, nf, 0)
+                for first, second in _compositions(m, 2):
+                    yield skel, sd, se, itertools.product(pools[(first, None)], pools[(second, skel)])
+            else:
+                for comp in _compositions(m, len(skel)):
+                    yield skel, sd, se, itertools.product(*[pools[(c, None)] for c in comp])
 
     for m in range(2, n):
-        full = list(grow(m, False))
+        full = []
+        for skel, sd, se, combos in blocks(m):
+            for kids in combos:
+                t = DecompTree(skel, tuple([r[0] for r in kids]))
+                d = sd + sum([r[1] for r in kids])
+                e = se + sum([r[2] for r in kids])
+                full.append((t, d, e) + _node_forms(skel, kids, forms))
         pools[(m, None)] = full
         for forbid in (_ASC, _DESC):
             pools[(m, forbid)] = [r for r in full if r[0].skeleton != forbid]
     if n == 1:
-        yield leaf[:4]
-    else:
-        yield from grow(n, True)
+        yield 0, 0, ".", (None, ())
+        return
+    # The top size inlines the label rule of `_node_forms`.
+    for skel, sd, se, combos in blocks(n):
+        if skel in _BINARY:
+            kept_head, flip_head = _head(skel), _head(_TOGGLE[skel])
+            odd_flips = skel == _DESC  # the chain flips iff odd, i.e. b's chain is even
+            for kids in combos:
+                a, b = kids
+                if odd_flips and not b[6] % 2:
+                    label = f"{flip_head}{a[7]},{b[9]}]"
+                else:
+                    label = f"{kept_head}{a[7]},{b[8]}]"
+                yield sd + a[1] + b[1], se + a[2] + b[2], label, (skel, kids)
+        else:
+            head = _head(_TOGGLE[skel] if skel == (3, 1, 4, 2) else skel)
+            for kids in combos:
+                yield (sd + sum([r[1] for r in kids]), se + sum([r[2] for r in kids]),
+                       f"{head}{','.join([r[7] for r in kids])}]", (skel, kids))
 
 
 def closure_trees(n: int, k: int) -> list[DecompTree]:
@@ -358,7 +439,7 @@ def closure_trees(n: int, k: int) -> list[DecompTree]:
     By the decomposition bijection this is exactly the intersection of the
     substitution closure of the short simple permutations with S_n.
     """
-    return [r[0] for r in _closure_records(n, k)]
+    return [_parts_tree(r[3]) for r in _closure_records(n, k)]
 
 
 def closure_permutations(n: int, k: int) -> list[Permutation]:
@@ -397,7 +478,7 @@ class ClosureClassReport:
     classes: tuple[ClassRecord, ...]
     failures: tuple[str, ...]
     total: BivarPoly
-    expansion: BivarGammaExpansion
+    expansion: BivarGammaExpansion | None  # None when the total has none
 
     @property
     def ok(self) -> bool:
@@ -408,48 +489,67 @@ def closure_class_report(n: int) -> ClosureClassReport:
     """Group the members of length n of the closure of the simple permutations
     of length <= 5 into orbits and check each one.
 
-    The trees stream from the pool builder with their statistics and normal
-    forms, and each class is labeled by one `tree_text` call.  Per class: the
-    orbit size is 2^(odd_chains + n4), the node-count identity holds, and the
-    class distribution equals its single gamma-basis element.  Classwide: the
-    total equals `closure_distribution(n, 5)`, which comes by series
+    The trees stream from the pool builder with their statistics and the
+    text of their normal form, which labels the class, so no tree is built
+    or walked per member; each class's minimal tree is built once, for its
+    signature.  Per class: the orbit size is 2^(odd_chains + n4), the
+    node-count identity holds, and the class distribution, tallied from its
+    members' (des, ides), equals its single gamma-basis element.  Classwide:
+    the total equals `closure_distribution(n, 5)`, which comes by series
     inversion, and the class counts per (i, j) are exactly the gamma
     coefficients of the total distribution.
     """
-    groups: defaultdict[DecompTree, Counter] = defaultdict(Counter)
-    for _, d, e, nf in _closure_records(n, 5):
-        groups[nf][d, e] += 1
-    labels = {tree_text(m): m for m in groups}
+    groups: dict[str, dict[tuple[int, int], int]] = {}
+    signatures: dict[str, ClassSignature] = {}
+    shared: dict[ClassSignature, ClassSignature] = {}
+    for d, e, label, parts in _closure_records(n, 5):
+        counts = groups.get(label)
+        if counts is None:
+            counts = groups[label] = {}
+            sig = signature_of(_parts_normal_form(parts))
+            signatures[label] = shared.setdefault(sig, sig)
+        key = d, e
+        counts[key] = counts.get(key, 0) + 1
     failures: list[str] = []
     records: list[ClassRecord] = []
-    total = BivarPoly()
+    total: Counter = Counter()
     gamma_counts: Counter = Counter()
-    basis: dict[tuple[int, int], BivarPoly] = {}
-    for label in sorted(labels):
-        counts = groups[labels[label]]
-        size = counts.total()
-        sig = signature_of(labels[label])
-        dist = BivarPoly(counts)
+    basis: dict[tuple[int, int], tuple[BivarPoly, dict]] = {}
+    for label in sorted(groups):
+        counts = groups[label]
+        sig = signatures[label]
+        size = sum(counts.values())
         if size != sig.orbit_size():
             failures.append(f"{label}: orbit size {size} != 2^(r+v4) = {sig.orbit_size()}")
         if not sig.node_count_identity_holds():
             failures.append(f"{label}: node-count identity fails for {sig}")
         ij = sig.gamma_i, sig.gamma_j
         if ij not in basis:
-            basis[ij] = signature_polynomial(sig)
-        if dist != basis[ij]:
+            element = signature_polynomial(sig)
+            basis[ij] = element, dict(element.items())
+        element, coeffs = basis[ij]
+        if counts == coeffs:
+            dist = element
+        else:
+            dist = BivarPoly(counts)
             failures.append(f"{label}: distribution is not the expected basis element")
         gamma_counts[ij] += 1
         records.append(ClassRecord(label, size, dist, sig))
-        total = total + dist
-    if total != closure_distribution(n, 5):
+        total.update(counts)
+    total_poly = BivarPoly(total)
+    if total_poly != closure_distribution(n, 5):
         failures.append("total distribution differs from the closure series coefficient")
-    expansion = gamma_expand_bivariate(total, n - 1)
-    if expansion.as_dict() != gamma_counts:
-        failures.append("gamma coefficients do not match the class counts per (i, j)")
-    if not expansion.is_positive():
-        failures.append("total distribution is not gamma-positive")
-    return ClosureClassReport(n, tuple(records), tuple(failures), total, expansion)
+    try:
+        expansion = gamma_expand_bivariate(total_poly, n - 1)
+    except ExpansionError as exc:  # a class lost its symmetry: report it, do not crash
+        expansion = None
+        failures.append(f"total distribution has no gamma expansion: {exc}")
+    else:
+        if expansion.as_dict() != gamma_counts:
+            failures.append("gamma coefficients do not match the class counts per (i, j)")
+        if not expansion.is_positive():
+            failures.append("total distribution is not gamma-positive")
+    return ClosureClassReport(n, tuple(records), tuple(failures), total_poly, expansion)
 
 
 # ---------------------------------------------------------------------------

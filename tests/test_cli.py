@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -153,6 +154,14 @@ def test_poly_resource_exit_code():
         assert proc.returncode == 3
         assert "--long-run" in proc.stderr
         assert "Traceback" not in proc.stderr
+    # --long-run passes the enumeration gate; the tree route's own cap stops
+    # the run before any size is scored.
+    start = time.perf_counter()
+    proc = run_cli("verify", "--suite", "lemma39", "--max-n", "12", "--long-run")
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 3
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and "11" in proc.stderr
 
 
 def test_parse_error_exit_code():
@@ -253,6 +262,31 @@ def test_lemma39_fails_when_the_series_disagrees(monkeypatch, capsys):
     data = json.loads(capsys.readouterr().out)
     assert data["ok"] is False
     assert data["results"][0]["pass"] is True  # n = 1: the constant 1 still matches
+
+
+def test_lemma39_fails_when_a_class_is_wrong(monkeypatch, capsys):
+    # One member scored with the wrong (des, ides), and one member of another
+    # class missing: the per-class checks name both classes.
+    from gammalab import orbits
+    real = orbits._closure_records
+    records = list(real(4, 5))
+    wrong = records[0][2]
+    dropped = next(i for i, r in enumerate(records) if r[2] != wrong)
+    short = records[dropped][2]
+    d, e, _, parts = records[0]
+    records[0] = d + 1, e, wrong, parts
+    del records[dropped]
+    monkeypatch.setattr(orbits, "_closure_records",
+                        lambda n, k: iter(records) if n == 4 else real(n, k))
+    report = orbits.closure_class_report(4)
+    assert f"{wrong}: distribution is not the expected basis element" in report.failures
+    assert f"{short}: distribution is not the expected basis element" in report.failures
+    assert any(f.startswith(f"{short}: orbit size ") for f in report.failures)
+    assert cli.main(["verify", "--suite", "lemma39", "--max-n", "5", "--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["ok"] is False
+    assert [r["pass"] for r in data["results"]] == [True, True, True, False, True]
+    assert data["results"][3]["positive"] is False
 
 
 def test_determinism():

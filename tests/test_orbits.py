@@ -9,6 +9,8 @@ from gammalab import orbits
 from gammalab.errors import ResourceBoundError, StructureError
 from gammalab.orbits import (
     _closure_records,
+    _parts_normal_form,
+    _parts_tree,
     _simplified_groups,
     class_polynomial,
     closure_class_report,
@@ -256,14 +258,19 @@ def reference_closure_trees(n, k):
 
 
 def test_closure_records_match_trees_and_normal_forms():
-    for k in (2, 5):
+    # The old route builds, normalizes and renders every tree; the records
+    # carry the label and build the trees only on request.
+    for k in (2, 4, 5):
         for n in range(1, 9):
             records = list(_closure_records(n, k))
-            assert [r[0] for r in records] == reference_closure_trees(n, k)
-            assert closure_trees(n, k) == [r[0] for r in records]
-            for t, d, e, nf in records:
+            trees = [_parts_tree(parts) for _, _, _, parts in records]
+            assert trees == reference_closure_trees(n, k)
+            assert closure_trees(n, k) == trees
+            for (d, e, label, parts), t in zip(records, trees):
                 assert (d, e) == des_ides(reconstruct(t))
+                nf = _parts_normal_form(parts)
                 assert nf == minimal_representative(t)
+                assert label == tree_text(nf)
 
 
 def test_separable_distribution_counts_are_large_schroeder_numbers():
@@ -295,19 +302,36 @@ def test_closure_distribution_h5_s5():
 
 
 def test_closure_class_report_small():
-    for n in range(1, 8):
+    # The old route: group the trees by the text of each one's minimal
+    # representative, tallied with des_ides of the rebuilt permutation.
+    for n in range(1, 9):
         rep = closure_class_report(n)
         assert rep.ok, rep.failures
         assert rep.expansion.is_positive()
-        trees = closure_trees(n, 5)
-        assert sum(rec.size for rec in rep.classes) == len(trees)
-        assert all(tree_des_ides(t) == des_ides(reconstruct(t)) for t in trees)
+        groups = {}
+        for t in closure_trees(n, 5):
+            de = des_ides(reconstruct(t))
+            assert tree_des_ides(t) == de
+            groups.setdefault(tree_text(minimal_representative(t)), Counter())[de] += 1
+        assert [rec.minimal_text for rec in rep.classes] == sorted(groups)
+        for rec in rep.classes:
+            assert rec.distribution == BivarPoly(groups[rec.minimal_text])
+            assert rec.size == sum(groups[rec.minimal_text].values())
+        # Classes with one basis element share its polynomial, and equal
+        # signatures are one object.
+        by_ij = {(rec.signature.gamma_i, rec.signature.gamma_j) for rec in rep.classes}
+        assert len({id(rec.distribution) for rec in rep.classes}) == len(by_ij)
+        assert len({id(rec.signature) for rec in rep.classes}) == len(set(rec.signature for rec in rep.classes))
 
 
 def test_closure_and_reduction_refuse_past_the_budget():
     # Only the library guards these calls: no CLI check runs in front of them.
+    # The tree route stops one size below the enumeration cap, before any
+    # pool is built.
+    assert orbits.MAX_CLOSURE_TREE_N == 11
     for call in (lambda: closure_trees(13, 2), lambda: closure_class_report(13),
-                 lambda: verify_reduction(13)):
+                 lambda: verify_reduction(13), lambda: closure_trees(12, 2),
+                 lambda: closure_trees(12, 5), lambda: closure_class_report(12)):
         start = time.perf_counter()
         with pytest.raises(ResourceBoundError):
             call()
