@@ -72,6 +72,7 @@ from .orbits import (
     EquivClass,
     class_polynomial,
     closure_class_report,
+    closure_class_reports,
     closure_distribution,
     closure_permutations,
     equivalence_class,

@@ -436,13 +436,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:  # lemma39
         _check_enum_bound(max_n, args.long_run, "a smaller --max-n")
         orbits.check_closure_tree_length(max_n)
-        for n in range(1, max_n + 1):
-            report = orbits.closure_class_report(n)
+        for report in orbits.closure_class_reports(max_n):
             expansion = report.expansion
             passed = report.ok
             ok = ok and passed
             results.append({
-                "n": n,
+                "n": report.n,
                 "classes": [
                     {
                         "minimal": rec.minimal_text,

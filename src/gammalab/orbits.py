@@ -13,18 +13,20 @@ gamma-basis element to the joint (des, ides) distribution, with exponents read
 off the orbit's minimal representative: the unique tree whose odd chains all
 start with 12 and whose length-4 nodes are all labeled 2413.
 
-The closure trees are built bottom-up from pools of smaller trees, and each
-pool record carries the tree's (des, ides), its minimal representative and
-that representative's `tree_text`, all made from its children's records
-(inflation adds des and ides; a text is one join of the children's texts).
-The records of the requested size stream one at a time with their
-statistics and label text but no tree, so the class report scores and
-groups every tree by a string key without building, walking or rendering
-it, and builds one minimal tree per class, for its signature.  Only the
-smaller pools are kept, nothing is kept between calls, and sizes past
-`MAX_CLOSURE_TREE_N` are refused before any pool is built.  The closure
-polynomials themselves come by series inversion (`series.closure_series`),
-which generates no tree.
+The class report never builds a tree.  A node's minimal representative is
+made from its children's, so the orbits of one size come from those of
+smaller sizes by a DP over normal-form classes (`_class_tallies`): each
+class carries its label, the `tree_text` of its minimal representative,
+the (des, ides) tally of all its members packed in one int
+(`_TallyPacking`; inflation multiplies tallies), and the node counts of
+its minimal representative, from which its signature follows.  At n = 10
+the 85369 classes stand for 909482 trees, and at n = 11 the 424330
+classes for 5753398.  On a 2-vCPU host `verify --suite lemma39 --max-n 10`
+takes about 1.5 s and 120 MB, and `--max-n 11 --long-run` about 9 s and
+580 MB.  Sizes past `MAX_CLOSURE_TREE_N` are refused before anything is
+built.  `closure_trees` builds the trees themselves, size by size, for
+the tests to compare against; the closure polynomials come by series
+inversion (`series.closure_series`), which generates no tree.
 
 The same bookkeeping at the level of *simplified* trees (labels reduced to
 lengths) factors the full two-sided Eulerian polynomial into per-shape
@@ -33,7 +35,9 @@ products, which is what `verify_reduction` checks exhaustively.
 from __future__ import annotations
 
 import itertools
+import math
 from collections import Counter, defaultdict
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -290,11 +294,13 @@ def _compositions(n: int, parts: int):
             yield (first,) + rest
 
 
-# The tree route's size cap.  On a 2-vCPU host `closure_class_report(11)`
-# takes about 32 s and peaks at about 670 MB (1.1M pool records, 424330
-# classes).  n = 12 would hold 6.7M pool records and stream 36.9M trees into
-# about six times the classes, an estimated 4 GB, so it is refused before any
-# pool is built.
+# The size cap of the class DP and of `closure_trees`.  On a 2-vCPU host
+# `verify --suite lemma39 --max-n 10` takes about 1.5 s and peaks at about
+# 120 MB, and `--max-n 11 --long-run` about 9 s and 580 MB
+# (`closure_class_report(11)` alone: 5 s, 350 MB, 424330 classes).  The class
+# count grew fivefold from n = 10 to 11, so n = 12 would need an estimated
+# 3 GB and is refused before anything is built; `closure_trees(11, 5)`
+# already returns 5.75M trees.
 MAX_CLOSURE_TREE_N = 11
 
 
@@ -308,138 +314,29 @@ def check_closure_tree_length(n: int) -> None:
         )
 
 
-# A pool record is the tuple
-#   (tree, des, ides, nf, kept, flipped, length, nf_text, kept_text, flipped_text):
-# the tree, its statistics, its normal form as a chain head (nf) and inside a
-# binary right chain that is kept or flipped, the length of the chain it heads
-# (0 if not binary), and the `tree_text` of each normal form.
-_LEAF_RECORD = (LEAF, 0, 0, LEAF, LEAF, LEAF, 0, ".", ".", ".")
-
-
-@lru_cache(maxsize=64)
-def _head(skel: tuple[int, ...]) -> str:
-    """The text of a node labeled ``skel`` up to its first child: ``2413[``."""
-    return _skeleton_text(skel) + "["
-
-
-def _node_forms(skel: Permutation | None, kids: tuple, forms: dict) -> tuple:
-    """The fields nf .. flipped_text of the record of a node labeled
-    ``skel``, from its children's records ``kids``.
-
-    A binary node flips iff its chain is odd and led by 21, and a 3142 node
-    becomes 2413.  Each text is one join of the children's texts, and
-    ``forms`` (text -> (tree, text)) hands back the first tree and text made
-    for it, so records with equal normal forms share one object of each.
-    """
-    if skel is None:
-        return _LEAF_RECORD[3:]
-    if skel in _BINARY:
-        a, b = kids
-        toggled = _TOGGLE[skel]
-        text = f"{_head(skel)}{a[7]},{b[8]}]"
-        kept, kept_text = forms.get(text) or _new_form(forms, text, DecompTree(skel, (a[3], b[4])))
-        text = f"{_head(toggled)}{a[7]},{b[9]}]"
-        flipped, flipped_text = forms.get(text) or _new_form(
-            forms, text, DecompTree(toggled, (a[3], b[5])))
-        length = b[6] + 1
-        if length % 2 and skel == _DESC:
-            return flipped, kept, flipped, length, flipped_text, kept_text, flipped_text
-        return kept, kept, flipped, length, kept_text, kept_text, flipped_text
-    label = _TOGGLE[skel] if skel == (3, 1, 4, 2) else skel
-    text = f"{_head(label)}{','.join([r[7] for r in kids])}]"
-    nf, text = forms.get(text) or _new_form(forms, text, DecompTree(label, tuple([r[3] for r in kids])))
-    return nf, nf, nf, 0, text, text, text
-
-
-def _new_form(forms: dict, text: str, tree: DecompTree) -> tuple[DecompTree, str]:
-    forms[text] = form = (tree, text)
-    return form
-
-
-def _parts_tree(parts: tuple) -> DecompTree:
-    """The tree of a top-size record's ``parts`` (its skeleton and children's records)."""
-    skel, kids = parts
-    return DecompTree(skel, tuple([r[0] for r in kids]))
-
-
-def _parts_normal_form(parts: tuple) -> DecompTree:
-    """``minimal_representative`` of the tree of ``parts``, from its children's records."""
-    return _node_forms(*parts, {})[0]
-
-
-def _closure_records(n: int, k: int):
-    """Yield ``(des, ides, label, parts)`` for every canonical tree with n
-    leaves whose skeletons have length <= k, one at a time.
-
-    ``label`` is ``tree_text(minimal_representative(t))`` and ``parts`` is
-    the root skeleton with the children's pool records, from which
-    `_parts_tree` and `_parts_normal_form` build the tree and its normal form.
-    The trees are built bottom-up from pools of smaller records, so a node's
-    statistics are its skeleton's plus its children's, and its normal forms
-    and their texts come from its children's records (`_node_forms`).
-    Records of the top size build neither tree and are never stored.
-    """
-    check_closure_tree_length(n)
-    if k < 2:
-        raise ValueError("k must be at least 2")
-    skeletons = [(s, des_ides(s)) for ell in range(2, min(k, n) + 1) for s in enumerate_simple(ell)]
-    # pools[(m, forbid)]: the records with m leaves whose root is not ``forbid``;
-    # canonical trees never give a 12 (21) node another 12 (21) as last child.
-    pools = {(1, forbid): [_LEAF_RECORD] for forbid in (None, _ASC, _DESC)}
-    forms: dict[str, tuple[DecompTree, str]] = {}
-
-    def blocks(m: int):
-        """(skeleton, des, ides, iterable of children's records) for size m."""
-        for skel, (sd, se) in skeletons:
-            if len(skel) > m:
-                break
-            if skel in _BINARY:
-                for first, second in _compositions(m, 2):
-                    yield skel, sd, se, itertools.product(pools[(first, None)], pools[(second, skel)])
-            else:
-                for comp in _compositions(m, len(skel)):
-                    yield skel, sd, se, itertools.product(*[pools[(c, None)] for c in comp])
-
-    for m in range(2, n):
-        full = []
-        for skel, sd, se, combos in blocks(m):
-            for kids in combos:
-                t = DecompTree(skel, tuple([r[0] for r in kids]))
-                d = sd + sum([r[1] for r in kids])
-                e = se + sum([r[2] for r in kids])
-                full.append((t, d, e) + _node_forms(skel, kids, forms))
-        pools[(m, None)] = full
-        for forbid in (_ASC, _DESC):
-            pools[(m, forbid)] = [r for r in full if r[0].skeleton != forbid]
-    if n == 1:
-        yield 0, 0, ".", (None, ())
-        return
-    # The top size inlines the label rule of `_node_forms`.
-    for skel, sd, se, combos in blocks(n):
-        if skel in _BINARY:
-            kept_head, flip_head = _head(skel), _head(_TOGGLE[skel])
-            odd_flips = skel == _DESC  # the chain flips iff odd, i.e. b's chain is even
-            for kids in combos:
-                a, b = kids
-                if odd_flips and not b[6] % 2:
-                    label = f"{flip_head}{a[7]},{b[9]}]"
-                else:
-                    label = f"{kept_head}{a[7]},{b[8]}]"
-                yield sd + a[1] + b[1], se + a[2] + b[2], label, (skel, kids)
-        else:
-            head = _head(_TOGGLE[skel] if skel == (3, 1, 4, 2) else skel)
-            for kids in combos:
-                yield (sd + sum([r[1] for r in kids]), se + sum([r[2] for r in kids]),
-                       f"{head}{','.join([r[7] for r in kids])}]", (skel, kids))
-
-
 def closure_trees(n: int, k: int) -> list[DecompTree]:
     """All canonical trees with n leaves whose skeletons have length <= k.
 
     By the decomposition bijection this is exactly the intersection of the
-    substitution closure of the short simple permutations with S_n.
+    substitution closure of the short simple permutations with S_n.  The
+    trees are built size by size from the lists of all smaller ones.
     """
-    return [_parts_tree(r[3]) for r in _closure_records(n, k)]
+    check_closure_tree_length(n)
+    if k < 2:
+        raise ValueError("k must be at least 2")
+    skeletons = [s for ell in range(2, min(k, n) + 1) for s in enumerate_simple(ell)]
+    pools = [[], [LEAF]]
+    for m in range(2, n + 1):
+        pool = []
+        for skel in skeletons:
+            binary = skel in _BINARY
+            for comp in _compositions(m, len(skel)):
+                for kids in itertools.product(*[pools[c] for c in comp]):
+                    # canonical trees never give a 12 (21) node a 12 (21) last child
+                    if not (binary and kids[1].skeleton == skel):
+                        pool.append(DecompTree(skel, kids))
+        pools.append(pool)
+    return pools[n]
 
 
 def closure_permutations(n: int, k: int) -> list[Permutation]:
@@ -463,6 +360,139 @@ def closure_distribution(n: int, k: int) -> BivarPoly:
 # ---------------------------------------------------------------------------
 # class-by-class verification (skeletons of length <= 5)
 # ---------------------------------------------------------------------------
+
+class _TallyPacking:
+    """A (des, ides) tally of trees with at most n leaves, packed in one int.
+
+    Slot d*n + e, ``width`` = (n!).bit_length() + 1 bits wide, counts the
+    members with (des, ides) = (d, e).  As ides < n, the product of two
+    packed tallies is the packed tally of the product set, and as no count
+    reaches n! < 2**width - 1, no slot carries and the tally's digit sum,
+    the tally mod 2**width - 1, is its number of members.
+    """
+
+    __slots__ = ("n", "width", "_mask")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.width = math.factorial(n).bit_length() + 1
+        self._mask = (1 << self.width) - 1
+
+    def shift(self, d: int, e: int) -> int:
+        """The bit offset of slot (d, e): a tally times x^d y^e is ``tally << shift``."""
+        return self.width * (d * self.n + e)
+
+    def pack(self, counts: Mapping[tuple[int, int], int]) -> int:
+        return sum(c << self.shift(d, e) for (d, e), c in counts.items())
+
+    def unpack(self, tally: int) -> dict[tuple[int, int], int]:
+        counts = {}
+        slot = 0
+        while tally:
+            c = tally & self._mask
+            if c:
+                counts[divmod(slot, self.n)] = c
+            tally >>= self.width
+            slot += 1
+        return counts
+
+    def size(self, tally: int) -> int:
+        return tally % self._mask
+
+
+# A class's node counts (n21, n4, n5, odd_chains), one byte each in one int,
+# so the counts of a node are the sum of its children's.
+_N21, _N4, _N5, _ODD = 1, 1 << 8, 1 << 16, 1 << 24
+
+
+def _signature(n: int, counts: int) -> ClassSignature:
+    return ClassSignature(n, counts & 255, counts >> 8 & 255, counts >> 16 & 255, counts >> 24)
+
+
+@lru_cache(maxsize=64)
+def _head(skel: tuple[int, ...]) -> str:
+    """The text of a node labeled ``skel`` up to its first child: ``2413[``."""
+    return _skeleton_text(skel) + "["
+
+
+def _class_tallies(n: int) -> Iterator[dict[str, tuple[int, int]]]:
+    """Yield ``heads[m]`` for m = 1..n: the normal-form text of every orbit
+    of the closure of the simple permutations of length <= 5 in S_m ->
+    (its members' packed (des, ides) tally, its minimal representative's
+    node counts).
+
+    The text is ``tree_text(minimal_representative(t))`` of each member t.
+    A node's normal form depends on its children's, so a class with a
+    non-binary root is a product of its children's classes, its tally the
+    product of theirs times its skeleton's (2413 and 3142 share one text).
+    A binary node's normal form flips its chain's labels iff the chain is
+    odd and led by 21, so its right child enters from ``tails[m]``: the
+    right children's entries by root skeleton (None if not binary), each
+    ``(kept text, flipped text, chain length, tally, counts)``, where the
+    texts keep or flip the labels of the chain at the root and the counts
+    leave that chain out (a chain of L nodes adds L // 2 nodes labeled 21
+    to the minimal form, and one odd chain if L is odd).  The top size
+    builds no ``tails``, and drops the smaller sizes before it is yielded.
+    """
+    check_closure_tree_length(n)
+    pack = _TallyPacking(n)
+    factors: dict[Permutation, int] = {}  # normal-form skeleton -> packed tally of its skeletons
+    for ell in (4, 5):
+        for skel in enumerate_simple(ell):
+            label = _TOGGLE[skel] if skel == (3, 1, 4, 2) else skel
+            factors[label] = factors.get(label, 0) + (1 << pack.shift(*des_ides(skel)))
+    heads = [{}, {".": (1, 0)}]
+    tails = [{}, {_ASC: [], _DESC: [], None: [(".", ".", 0, 1, 0)]}]
+    yield heads[1]
+    for m in range(2, n + 1):
+        top = m == n
+        classes: dict[str, tuple[int, int]] = {}
+        right: dict[Permutation | None, list] = {_ASC: [], _DESC: [], None: []}
+        for label, factor in factors.items():
+            head = _head(label)
+            node = _N4 if len(label) == 4 else _N5
+            for comp in _compositions(m, len(label)):
+                for kids in itertools.product(*[heads[c].items() for c in comp]):
+                    tally, counts = factor, node
+                    for _, (t, c) in kids:
+                        tally *= t
+                        counts += c
+                    text = f"{head}{','.join([kid[0] for kid in kids])}]"
+                    classes[text] = tally, counts
+                    if not top:
+                        right[None].append((text, text, 0, tally, counts))
+        for skel in _BINARY:
+            toggled = _TOGGLE[skel]
+            kept_head, flipped_head = _head(skel), _head(toggled)
+            shift = pack.shift(*des_ides(skel))
+            odd_flips = skel == _DESC  # the normal form flips odd chains led by 21
+            chains = right[skel]
+            for first in range(1, m):
+                rights = tails[m - first][toggled] + tails[m - first][None]
+                for a, (ta, ca) in heads[first].items():
+                    for b_kept, b_flipped, length, tb, cb in rights:
+                        length += 1
+                        tally = ta * tb << shift
+                        counts = ca + cb
+                        flip = odd_flips and length & 1
+                        if top:
+                            label = (f"{flipped_head}{a},{b_flipped}]" if flip
+                                     else f"{kept_head}{a},{b_kept}]")
+                        else:
+                            kept = f"{kept_head}{a},{b_kept}]"
+                            flipped = f"{flipped_head}{a},{b_flipped}]"
+                            chains.append((kept, flipped, length, tally, counts))
+                            label = flipped if flip else kept
+                        counts += (length >> 1) * _N21 + (length & 1) * _ODD
+                        old = classes.get(label)
+                        classes[label] = (tally, counts) if old is None else (old[0] + tally, counts)
+        if top:
+            heads = tails = None
+        else:
+            heads.append(classes)
+            tails.append(right)
+        yield classes
+
 
 @dataclass(frozen=True)
 class ClassRecord:
@@ -489,36 +519,41 @@ def closure_class_report(n: int) -> ClosureClassReport:
     """Group the members of length n of the closure of the simple permutations
     of length <= 5 into orbits and check each one.
 
-    The trees stream from the pool builder with their statistics and the
-    text of their normal form, which labels the class, so no tree is built
-    or walked per member; each class's minimal tree is built once, for its
-    signature.  Per class: the orbit size is 2^(odd_chains + n4), the
-    node-count identity holds, and the class distribution, tallied from its
-    members' (des, ides), equals its single gamma-basis element.  Classwide:
-    the total equals `closure_distribution(n, 5)`, which comes by series
+    The classes come from the class DP (`_class_tallies`) with their
+    members' packed (des, ides) tally and their minimal representative's
+    node counts, so no tree is built or walked.  Per class: the orbit size
+    is 2^(odd_chains + n4), the node-count identity holds, and the class
+    distribution equals its single gamma-basis element.  Classwide: the
+    total equals `closure_distribution(n, 5)`, which comes by series
     inversion, and the class counts per (i, j) are exactly the gamma
     coefficients of the total distribution.
     """
-    groups: dict[str, dict[tuple[int, int], int]] = {}
-    signatures: dict[str, ClassSignature] = {}
-    shared: dict[ClassSignature, ClassSignature] = {}
-    for d, e, label, parts in _closure_records(n, 5):
-        counts = groups.get(label)
-        if counts is None:
-            counts = groups[label] = {}
-            sig = signature_of(_parts_normal_form(parts))
-            signatures[label] = shared.setdefault(sig, sig)
-        key = d, e
-        counts[key] = counts.get(key, 0) + 1
+    for heads in _class_tallies(n):  # run to the top size, keeping no list of the smaller ones
+        pass
+    return _class_report(n, heads, _TallyPacking(n))
+
+
+def closure_class_reports(max_n: int) -> Iterator[ClosureClassReport]:
+    """`closure_class_report` of every size 1..max_n, from one class DP."""
+    pack = _TallyPacking(max_n)
+    for m, heads in enumerate(_class_tallies(max_n), 1):
+        yield _class_report(m, heads, pack)
+
+
+def _class_report(n: int, heads: dict[str, tuple[int, int]],
+                  pack: _TallyPacking) -> ClosureClassReport:
     failures: list[str] = []
     records: list[ClassRecord] = []
-    total: Counter = Counter()
+    total = 0
     gamma_counts: Counter = Counter()
-    basis: dict[tuple[int, int], tuple[BivarPoly, dict]] = {}
-    for label in sorted(groups):
-        counts = groups[label]
-        sig = signatures[label]
-        size = sum(counts.values())
+    signatures: dict[int, ClassSignature] = {}
+    basis: dict[tuple[int, int], tuple[int, BivarPoly]] = {}
+    for label in sorted(heads):
+        tally, counts = heads[label]
+        sig = signatures.get(counts)
+        if sig is None:
+            sig = signatures[counts] = _signature(n, counts)
+        size = pack.size(tally)
         if size != sig.orbit_size():
             failures.append(f"{label}: orbit size {size} != 2^(r+v4) = {sig.orbit_size()}")
         if not sig.node_count_identity_holds():
@@ -526,17 +561,17 @@ def closure_class_report(n: int) -> ClosureClassReport:
         ij = sig.gamma_i, sig.gamma_j
         if ij not in basis:
             element = signature_polynomial(sig)
-            basis[ij] = element, dict(element.items())
-        element, coeffs = basis[ij]
-        if counts == coeffs:
+            basis[ij] = pack.pack(dict(element.items())), element
+        packed, element = basis[ij]
+        if tally == packed:
             dist = element
         else:
-            dist = BivarPoly(counts)
+            dist = BivarPoly(pack.unpack(tally))
             failures.append(f"{label}: distribution is not the expected basis element")
         gamma_counts[ij] += 1
         records.append(ClassRecord(label, size, dist, sig))
-        total.update(counts)
-    total_poly = BivarPoly(total)
+        total += tally
+    total_poly = BivarPoly(pack.unpack(total))
     if total_poly != closure_distribution(n, 5):
         failures.append("total distribution differs from the closure series coefficient")
     try:

@@ -265,19 +265,26 @@ def test_lemma39_fails_when_the_series_disagrees(monkeypatch, capsys):
 
 
 def test_lemma39_fails_when_a_class_is_wrong(monkeypatch, capsys):
-    # One member scored with the wrong (des, ides), and one member of another
+    # One class's tally shifted by one descent, and one member of another
     # class missing: the per-class checks name both classes.
     from gammalab import orbits
-    real = orbits._closure_records
-    records = list(real(4, 5))
-    wrong = records[0][2]
-    dropped = next(i for i, r in enumerate(records) if r[2] != wrong)
-    short = records[dropped][2]
-    d, e, _, parts = records[0]
-    records[0] = d + 1, e, wrong, parts
-    del records[dropped]
-    monkeypatch.setattr(orbits, "_closure_records",
-                        lambda n, k: iter(records) if n == 4 else real(n, k))
+    real = orbits._class_tallies
+    *_, top = real(4)
+    wrong, short = sorted(top)[:2]
+
+    def broken(n):
+        pack = orbits._TallyPacking(n)
+        for m, classes in enumerate(real(n), 1):
+            if m == 4:
+                classes = dict(classes)
+                tally, counts = classes[wrong]
+                classes[wrong] = tally << pack.shift(1, 0), counts
+                tally, counts = classes[short]
+                member = 1 << pack.shift(*min(pack.unpack(tally)))
+                classes[short] = tally - member, counts
+            yield classes
+
+    monkeypatch.setattr(orbits, "_class_tallies", broken)
     report = orbits.closure_class_report(4)
     assert f"{wrong}: distribution is not the expected basis element" in report.failures
     assert f"{short}: distribution is not the expected basis element" in report.failures

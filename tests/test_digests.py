@@ -27,3 +27,16 @@ def test_stdout_matches_the_recorded_digest(command):
         code = cli.main(command.split() + ["--format", "json"])
     assert code == cli.EXIT_OK
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == RECORDED[command]
+
+
+# The lemma39 sweep one size past the benchmark's command (about 2 s); pinned
+# here rather than in the benchmark's digests because no workload runs it.
+LEMMA39_N10 = "f5d2223915cdc7a62c3f7dca4233276e574039e7628e358fd40db9ddb1805adc"
+
+
+def test_lemma39_at_n10_matches_its_recorded_digest():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "--suite", "lemma39", "--max-n", "10", "--format", "json"])
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == LEMMA39_N10

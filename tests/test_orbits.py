@@ -1,5 +1,6 @@
 """Involutions, equivalence classes, and the simplified-tree factorization."""
 import itertools
+import math
 import time
 from collections import Counter
 
@@ -8,12 +9,11 @@ import pytest
 from gammalab import orbits
 from gammalab.errors import ResourceBoundError, StructureError
 from gammalab.orbits import (
-    _closure_records,
-    _parts_normal_form,
-    _parts_tree,
     _simplified_groups,
+    _TallyPacking,
     class_polynomial,
     closure_class_report,
+    closure_class_reports,
     closure_distribution,
     closure_permutations,
     closure_trees,
@@ -257,20 +257,10 @@ def reference_closure_trees(n, k):
     return pools[n]
 
 
-def test_closure_records_match_trees_and_normal_forms():
-    # The old route builds, normalizes and renders every tree; the records
-    # carry the label and build the trees only on request.
+def test_closure_trees_match_the_reference():
     for k in (2, 4, 5):
         for n in range(1, 9):
-            records = list(_closure_records(n, k))
-            trees = [_parts_tree(parts) for _, _, _, parts in records]
-            assert trees == reference_closure_trees(n, k)
-            assert closure_trees(n, k) == trees
-            for (d, e, label, parts), t in zip(records, trees):
-                assert (d, e) == des_ides(reconstruct(t))
-                nf = _parts_normal_form(parts)
-                assert nf == minimal_representative(t)
-                assert label == tree_text(nf)
+            assert closure_trees(n, k) == reference_closure_trees(n, k)
 
 
 def test_separable_distribution_counts_are_large_schroeder_numbers():
@@ -302,26 +292,58 @@ def test_closure_distribution_h5_s5():
 
 
 def test_closure_class_report_small():
-    # The old route: group the trees by the text of each one's minimal
-    # representative, tallied with des_ides of the rebuilt permutation.
+    # The tree route: group the trees by the text of each one's minimal
+    # representative, tallied with des_ides of the rebuilt permutation, and
+    # read each class's signature off that representative.
     for n in range(1, 9):
         rep = closure_class_report(n)
         assert rep.ok, rep.failures
         assert rep.expansion.is_positive()
         groups = {}
+        signatures = {}
         for t in closure_trees(n, 5):
             de = des_ides(reconstruct(t))
             assert tree_des_ides(t) == de
-            groups.setdefault(tree_text(minimal_representative(t)), Counter())[de] += 1
+            nf = minimal_representative(t)
+            label = tree_text(nf)
+            groups.setdefault(label, Counter())[de] += 1
+            sig = signature_of(nf)
+            assert signatures.setdefault(label, sig) == sig
         assert [rec.minimal_text for rec in rep.classes] == sorted(groups)
         for rec in rep.classes:
             assert rec.distribution == BivarPoly(groups[rec.minimal_text])
             assert rec.size == sum(groups[rec.minimal_text].values())
+            assert rec.signature == signatures[rec.minimal_text]
         # Classes with one basis element share its polynomial, and equal
         # signatures are one object.
         by_ij = {(rec.signature.gamma_i, rec.signature.gamma_j) for rec in rep.classes}
         assert len({id(rec.distribution) for rec in rep.classes}) == len(by_ij)
         assert len({id(rec.signature) for rec in rep.classes}) == len(set(rec.signature for rec in rep.classes))
+
+
+def test_one_class_sweep_matches_the_reports_of_each_size():
+    # The sweep packs every size at the top size's width.
+    assert list(closure_class_reports(7)) == [closure_class_report(n) for n in range(1, 8)]
+
+
+def test_tally_packing_at_the_widest_size():
+    n = 11
+    pack = _TallyPacking(n)
+    assert pack.width == math.factorial(n).bit_length() + 1
+    counts = {(0, 0): 1, (3, 7): 12345, (n - 1, 0): 2, (0, n - 1): 5, (n - 1, n - 1): 1}
+    tally = pack.pack(counts)
+    assert pack.unpack(tally) == counts
+    assert pack.size(tally) == sum(counts.values())
+    # x^d y^e times a tally is a shift, landing on the top slot.
+    assert pack.unpack(1 << pack.shift(n - 1, n - 1)) == {(n - 1, n - 1): 1}
+    assert pack.unpack(pack.pack({(0, 0): 3}) << pack.shift(n - 1, n - 1)) == {(n - 1, n - 1): 3}
+    # The digit sum stays exact up to a total of n!.
+    big = {(0, 0): 1, (5, 5): 999, (n - 1, n - 1): math.factorial(n) - 1000}
+    assert pack.size(pack.pack(big)) == math.factorial(n)
+    assert pack.unpack(pack.pack(big)) == big
+    assert pack.pack({}) == 0
+    assert pack.unpack(0) == {}
+    assert pack.size(0) == 0
 
 
 def test_closure_and_reduction_refuse_past_the_budget():
