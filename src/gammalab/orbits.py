@@ -18,8 +18,9 @@ made from its children's, so the orbits of one size come from those of
 smaller sizes by a DP over normal-form classes (`_class_tallies`): each
 class carries its label, the `tree_text` of its minimal representative,
 the (des, ides) tally of all its members packed in one int
-(`_TallyPacking`; inflation multiplies tallies), and the node counts of
-its minimal representative, from which its signature follows.  At n = 10
+(`permutations._TallyPacking`, the layout of every (des, ides) tally;
+inflation multiplies tallies), and the node counts of its minimal
+representative, from which its signature follows.  At n = 10
 the 85369 classes stand for 909482 trees, and at n = 11 the 424330
 classes for 5753398.  On a 2-vCPU host `verify --suite lemma39 --max-n 10`
 takes about 1.5 s and 120 MB, and `--max-n 11 --long-run` about 9 s and
@@ -37,7 +38,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter, defaultdict
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -45,6 +46,7 @@ from .errors import ExpansionError, ResourceBoundError, StructureError
 from .permutations import (
     Permutation,
     _check_length,
+    _TallyPacking,
     des_ides,
     enumerate_permutations,
     enumerate_simple,
@@ -361,45 +363,6 @@ def closure_distribution(n: int, k: int) -> BivarPoly:
 # class-by-class verification (skeletons of length <= 5)
 # ---------------------------------------------------------------------------
 
-class _TallyPacking:
-    """A (des, ides) tally of trees with at most n leaves, packed in one int.
-
-    Slot d*n + e, ``width`` = (n!).bit_length() + 1 bits wide, counts the
-    members with (des, ides) = (d, e).  As ides < n, the product of two
-    packed tallies is the packed tally of the product set, and as no count
-    reaches n! < 2**width - 1, no slot carries and the tally's digit sum,
-    the tally mod 2**width - 1, is its number of members.
-    """
-
-    __slots__ = ("n", "width", "_mask")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.width = math.factorial(n).bit_length() + 1
-        self._mask = (1 << self.width) - 1
-
-    def shift(self, d: int, e: int) -> int:
-        """The bit offset of slot (d, e): a tally times x^d y^e is ``tally << shift``."""
-        return self.width * (d * self.n + e)
-
-    def pack(self, counts: Mapping[tuple[int, int], int]) -> int:
-        return sum(c << self.shift(d, e) for (d, e), c in counts.items())
-
-    def unpack(self, tally: int) -> dict[tuple[int, int], int]:
-        counts = {}
-        slot = 0
-        while tally:
-            c = tally & self._mask
-            if c:
-                counts[divmod(slot, self.n)] = c
-            tally >>= self.width
-            slot += 1
-        return counts
-
-    def size(self, tally: int) -> int:
-        return tally % self._mask
-
-
 # A class's node counts (n21, n4, n5, odd_chains), one byte each in one int,
 # so the counts of a node are the sum of its children's.
 _N21, _N4, _N5, _ODD = 1, 1 << 8, 1 << 16, 1 << 24
@@ -668,11 +631,14 @@ class ReductionReport:
 def verify_reduction(n: int) -> ReductionReport:
     """Partition S_n by simplified tree and check the factor product per group.
 
-    Also checks that the groups sum back to the full two-sided Eulerian
-    polynomial.  That polynomial comes from the prefix DP of
-    `eulerian_distribution`, which never builds a permutation, so the final
-    comparison is an independent cross-check of this enumeration, not a second
-    pass over S_n.
+    The groups come from `_simplified_groups`, which walks the permutations
+    whose first value a has a < n+1-a (and the middle value of odd n) and
+    mirrors the rest by complement.  The groups must also sum back to the
+    full two-sided Eulerian polynomial.  That polynomial comes from the
+    prefix DP of `eulerian_distribution`, which counts all of S_n with no
+    mirroring and never builds a permutation, so the final comparison is an
+    independent cross-check of this enumeration and of its mirroring, not a
+    second pass over S_n.
     """
     groups = _simplified_groups(n)
     failures: list[str] = []
@@ -694,20 +660,39 @@ def _simplified_groups(n: int) -> dict[SimplifiedTree, Counter]:
     `_ShapeIndex` lookup per part and one `des_ides`.  Its (des, ides) is
     read from p itself, not summed over skeletons: that additivity is what
     `verify_reduction` tests.
+
+    Complement keeps ``simplify(decompose(p))`` (it swaps 12 with 21 and each
+    skeleton with its complement, which has the same length) and maps (d, e)
+    to (n-1-d, n-1-e), the `_TallyPacking` slot reversal.  So only the first
+    values a < n+1-a are walked and each of their (shape, slot) counts is
+    added again at the reversed slot; the middle first value of odd n is its
+    own mirror and is walked once.
     """
     _check_length(n)
     index = _ShapeIndex(n)
-    tally: Counter = Counter()  # tally[part indices, (des, ides)]
+    tally: Counter = Counter()  # tally[part indices, slot d*n + e]
     if n == 1:
-        tally[(), (0, 0)] = 1
+        tally[(), 0] = 1
     else:
         key = index.key
-        for p in enumerate_permutations(n):
-            tally[key(bytes(p)), des_ides(p)] += 1
+        perms = enumerate_permutations(n)  # lexicographic: (n-1)! per first value
+
+        def walk(count: int) -> None:
+            for p in itertools.islice(perms, count):
+                d, e = des_ides(p)
+                tally[key(bytes(p)), d * n + e] += 1
+
+        block = math.factorial(n - 1)
+        half, odd = divmod(n, 2)
+        walk(half * block)  # the first values 1..half
+        top = n * n - 1
+        for (parts, slot), c in list(tally.items()):
+            tally[parts, top - slot] += c
+        walk(odd * block)  # the middle first value of odd n, its own mirror
     shapes = index.shapes
     groups: defaultdict[SimplifiedTree, Counter] = defaultdict(Counter)
-    for (parts, de), c in tally.items():
-        groups[tuple([shapes[i] for i in parts])][de] = c
+    for (parts, slot), c in tally.items():
+        groups[tuple([shapes[i] for i in parts])][divmod(slot, n)] = c
     return groups
 
 

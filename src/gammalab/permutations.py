@@ -12,17 +12,22 @@ mutated, so everything is safe to call from worker processes or threads.
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import DistributionError, ParseError, ResourceBoundError
 from .polys import BivarPoly
 
 Permutation = tuple[int, ...]
 
-# The one enumeration budget: every full S_n enumeration, and the closure tree
-# pools, refuse lengths above this (12! is ~479M permutations).
+# The one enumeration budget (12! is ~479M permutations).  `_check_length`
+# refuses lengths above it for every S_n route (`enumerate_permutations`, the
+# Eulerian DP, the simple walk, `orbits.verify_reduction`), and the CLI and the
+# series' enumerate methods check it before they start.  The class DP and
+# `closure_trees` are capped lower, by `orbits.MAX_CLOSURE_TREE_N`.
 MAX_ENUMERATION_N = 12
 
 
@@ -395,32 +400,96 @@ def joint_distribution(perms: Iterable[Permutation], n: int | None = None) -> Jo
     return JointDistribution(BivarPoly(counts), n, counts.total())
 
 
-def _eulerian_counts(n: int) -> Counter:
-    """The (des, ides) tally of S_n, by a DP over prefixes.
+class _TallyPacking:
+    """The one layout of a (des, ides) tally over permutations of length <= n.
+
+    Slot d*n + e counts the members with (des, ides) = (d, e).  A tally is
+    kept either as a flat list of the n*n slot counts or packed in one int,
+    slot k in bits k*width .. (k+1)*width - 1 with ``width`` =
+    (n!).bit_length() + 1.  As ides < n, the product of two packed tallies
+    is the packed tally of the product set, and as no count reaches
+    n! < 2**width - 1, no slot carries and the tally's digit sum, the tally
+    mod 2**width - 1, is its number of members.  On S_n, complement maps
+    (d, e) to (n-1-d, n-1-e), which is the slot reversal k -> n*n - 1 - k.
+
+    >>> pack = _TallyPacking(3)
+    >>> pack.width
+    4
+    >>> tally = pack.pack({(0, 1): 2, (2, 0): 5})
+    >>> pack.unpack(tally), pack.size(tally)
+    ({(0, 1): 2, (2, 0): 5}, 7)
+    >>> slots = [tally >> 4 * k & 15 for k in range(9)]
+    >>> slots
+    [0, 2, 0, 0, 0, 0, 5, 0, 0]
+    >>> pack.from_slots(slots[::-1])  # the complements: (d, e) -> (2-d, 2-e)
+    {(0, 2): 5, (2, 1): 2}
+    """
+
+    __slots__ = ("n", "width", "_mask")
+
+    def __init__(self, n: int):
+        self.n = n
+        self.width = math.factorial(n).bit_length() + 1
+        self._mask = (1 << self.width) - 1
+
+    def shift(self, d: int, e: int) -> int:
+        """The bit offset of slot (d, e): a tally times x^d y^e is ``tally << shift``."""
+        return self.width * (d * self.n + e)
+
+    def pack(self, counts: Mapping[tuple[int, int], int]) -> int:
+        return sum(c << self.shift(d, e) for (d, e), c in counts.items())
+
+    def unpack(self, tally: int) -> dict[tuple[int, int], int]:
+        counts = {}
+        slot = 0
+        while tally:
+            c = tally & self._mask
+            if c:
+                counts[divmod(slot, self.n)] = c
+            tally >>= self.width
+            slot += 1
+        return counts
+
+    def size(self, tally: int) -> int:
+        return tally % self._mask
+
+    def from_slots(self, slots: Sequence[int]) -> dict[tuple[int, int], int]:
+        """The (des, ides) -> count map of a flat list of slot counts."""
+        return {divmod(k, self.n): c for k, c in enumerate(slots) if c}
+
+
+def _eulerian_counts(n: int) -> int:
+    """The (des, ides) tally of S_n, packed as in `_TallyPacking(n)`, by a DP
+    over prefixes.
 
     Appending v after ``last`` adds [last > v] to des and [v - 1 not yet
     placed] to ides (v now stands left of v - 1).  Both increments depend only
     on the placed set and the last value, so each layer maps the state
-    (placed bitmask, last value) to the Counter of its prefixes' (des, ides),
-    and no permutation is ever built.
+    (placed bitmask, last value), keyed ``placed << 4 | last`` (last <= 12),
+    to the packed tally of its prefixes, and a step is one ``tally << shift``
+    add.  No permutation is built, and the whole of S_n is counted: nothing
+    is mirrored.
     """
-    layer = {(1 << (v - 1), v): Counter({(0, int(v > 1)): 1}) for v in range(1, n + 1)}
+    pack = _TallyPacking(n)
+    step_d, step_e = pack.shift(1, 0), pack.shift(0, 1)
+    full = (1 << n) - 1
+    layer = {1 << (v + 3) | v: 1 << (step_e if v > 1 else 0) for v in range(1, n + 1)}
     for _ in range(n - 1):
-        nxt: dict[tuple[int, int], Counter] = {}
-        for (placed, last), counts in layer.items():
-            for v in range(1, n + 1):
-                bit = 1 << (v - 1)
-                if placed & bit:
-                    continue
-                dd = last > v
-                de = v > 1 and not placed & (bit >> 1)
-                target = nxt.get((placed | bit, v))
-                if target is None:
-                    target = nxt[placed | bit, v] = Counter()
-                for (d, e), c in counts.items():
-                    target[d + dd, e + de] += c
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for key, tally in layer.items():
+            placed, last = key >> 4, key & 15
+            free = full ^ placed
+            while free:
+                bit = free & -free
+                free ^= bit
+                v = bit.bit_length()
+                # v - 1 unplaced: bit >> 1 is a free value's bit, or 0 for v = 1
+                shift = (step_d if last > v else 0) + (step_e if (bit >> 1) & ~placed else 0)
+                target = (placed | bit) << 4 | v
+                nxt[target] = get(target, 0) + (tally << shift)
         layer = nxt
-    return sum(layer.values(), Counter())
+    return sum(layer.values())
 
 
 def _shard_prefixes(n: int) -> list[Permutation]:
@@ -431,17 +500,18 @@ def _shard_prefixes(n: int) -> list[Permutation]:
     return [(a,) for a in values]
 
 
-def _tally_simple_shard(args: tuple[int, Permutation]) -> Counter:
+def _tally_simple_shard(args: tuple[int, Permutation]) -> list[int]:
     """The (des, ides) tally of the simple permutations of length n that start
-    with ``prefix``, by a depth-first walk over block-free prefixes.
+    with ``prefix``, as a flat list of `_TallyPacking` slot counts (slot
+    d*n + e), by a depth-first walk over block-free prefixes.
 
     A proper block stays a block in every extension, so a prefix holding one
     is never grown.  The unplaced values are the bitmask ``rest`` (bit v for
     value v), and each node does its block work once, not once per candidate:
 
     1. One forbidden value per segment.  Placing v at position i after the
-       block-free ``line[0..i-1]`` closes a block ``line[j..i]`` in exactly
-       two cases: j = i-1 and v = line[i-1] +- 1; or j < i-1, ``line[j..i-1]``
+       block-free prefix ``p[0..i-1]`` closes a block ``p[j..i]`` in exactly
+       two cases: j = i-1 and v = p[i-1] +- 1; or j < i-1, ``p[j..i-1]``
        spans hi - lo = i - j, and v is its one gap,
        (lo + hi)(hi - lo + 1)/2 - sum.  (A longer span leaves more than one
        gap, and a shorter one is a block already.)  One backward pass sets
@@ -452,33 +522,37 @@ def _tally_simple_shard(args: tuple[int, Permutation]) -> Counter:
        so that prefix is refused at once (the shards (1,) and (n,) end at
        their first step).
     3. The last value is free.  By 2, every segment that ends at position
-       n-1 and is not the whole line is a suffix already refused, so the
+       n-1 and is not the whole of p is a suffix already refused, so the
        last value, ``rest.bit_length() - 1``, is counted with no scan.
 
-    des and ides grow by the same step rule as in `_eulerian_counts`: v - 1
-    is unplaced iff bit v - 1 of ``rest`` is set (bit 0 never is).
+    des and ides grow by the same step rule as in `_eulerian_counts`, on one
+    slot index: a descent adds n, and an inverse descent adds 1 (v - 1 is
+    unplaced iff bit v - 1 of ``rest`` is set; bit 0 never is).
     """
     n, prefix = args
+    counts = [0] * (n * n)
     if n == 1:
-        return Counter({(0, 0): 1})
-    counts: Counter = Counter()
-    line = [0] * n
+        counts[0] = 1
+        return counts
+    line: list[int] = []
     fixed = len(prefix)
 
-    def extend(i: int, rest: int, last: int, d: int, e: int) -> None:
-        # line[:i] is block-free, ends with ``last`` and has des d, ides e;
-        # ``rest`` holds the values not yet placed.
+    def extend(i: int, rest: int, last: int, slot: int) -> None:
+        # The prefix of length i is ``line`` followed by ``last``; it is
+        # block-free and has (des, ides) in ``slot``, and ``rest`` holds the
+        # values not yet placed.
         if i:
             lo = hi = total = last
             forbid = (2 << last) | (1 << (last - 1))
-            for j in range(i - 2, -1, -1):
-                x = line[j]
+            span = 1
+            for x in reversed(line):
+                span += 1
                 total += x
                 if x < lo:
                     lo = x
                 elif x > hi:
                     hi = x
-                if hi - lo == i - j:
+                if hi - lo == span:
                     forbid |= 1 << ((lo + hi) * (hi - lo + 1) // 2 - total)
             todo = rest & ~forbid
         else:
@@ -489,35 +563,40 @@ def _tally_simple_shard(args: tuple[int, Permutation]) -> Counter:
             bit = todo & -todo
             todo ^= bit
             v = bit.bit_length() - 1
-            step_d, step_e = d + (last > v), e + (rest >> (v - 1) & 1)
+            step = slot + (n if last > v else 0) + (rest >> (v - 1) & 1)
             left = rest ^ bit
             if i == n - 2:
-                counts[step_d + (v > left.bit_length() - 1), step_e] += 1
+                counts[step + n if v > left.bit_length() - 1 else step] += 1
             elif (left + (left & -left)) & left:
-                line[i] = v
-                extend(i + 1, left, v, step_d, step_e)
+                if i:
+                    line.append(last)
+                extend(i + 1, left, v, step)
+                if i:
+                    line.pop()
 
-    extend(0, ((1 << n) - 1) << 1, 0, 0, 0)  # no value before the first: 0 exceeds none
+    extend(0, ((1 << n) - 1) << 1, 0, 0)  # no value before the first: 0 exceeds none
     return counts
 
 
 # The simple walk starts worker processes only from this length on; below it
 # the pool costs more to start than the shards save.  On a 2-vCPU VM, one
 # process against two (import included, medians of 15 alternated fresh
-# processes, with the complement-mirrored shards): n = 9 took 0.18 s against
-# 0.20 s, n = 10 took 0.60 s against 0.46 s, and n = 11 (5 pairs) took 5.8 s
-# against 3.4 s.
+# processes, two rounds, with the slot-indexed walk): n = 9 took 0.18 s
+# against 0.21-0.23 s, n = 10 took 0.51-0.57 s against 0.42-0.44 s, and
+# n = 11 (5 pairs) took 5.0 s against 2.7 s.
 POOL_MIN_N = 10
 
 
-def _simple_counts(n: int, threads: int) -> Counter:
-    """The (des, ides) tally of the simple permutations of length n.
+def _simple_counts(n: int, threads: int) -> list[int]:
+    """The (des, ides) tally of the simple permutations of length n, as a
+    flat list of `_TallyPacking` slot counts.
 
     Complement maps the simple permutations that start with a prefix q onto
-    those that start with complement(q), and (d, e) to (n-1-d, n-1-e).  So
-    only the shards with q <= complement(q) are walked: one strictly below its
-    mirror is counted twice, the second time mirrored, and a self-complementary
-    one (the middle value, odd n) once.
+    those that start with complement(q), and (d, e) to (n-1-d, n-1-e), the
+    slot reversal.  So only the shards with q <= complement(q), the first
+    half of S_n, are walked: one strictly below its mirror is counted twice,
+    the second time reversed, and a self-complementary one (the middle value,
+    odd n) once.
     """
     n1 = n + 1
     shards: list[tuple[int, Permutation]] = []
@@ -536,28 +615,27 @@ def _simple_counts(n: int, threads: int) -> Counter:
             shard_counts = pool.map(_tally_simple_shard, shards)
     else:
         shard_counts = [_tally_simple_shard(s) for s in shards]
-    # Coefficientwise integer addition is independent of the merge order.
-    counts: Counter = Counter()
-    m = n - 1
+    # Slotwise integer addition is independent of the merge order.
+    counts = [0] * (n * n)
     for shard, twice in zip(shard_counts, mirrored):
-        counts.update(shard)
+        counts = list(map(operator.add, counts, shard))
         if twice:
-            for (d, e), c in shard.items():
-                counts[m - d, m - e] += c
+            counts = list(map(operator.add, counts, reversed(shard)))
     return counts
-
-
-def _joint(n: int, counts: Counter) -> JointDistribution:
-    return JointDistribution(BivarPoly(counts), n, counts.total())
 
 
 def eulerian_distribution(n: int, threads: int = 1) -> JointDistribution:
     """The two-sided Eulerian polynomial of S_n, by the prefix DP.
 
-    The DP runs in this process; ``threads`` is accepted and not read.
+    The DP runs in this process; ``threads`` is accepted and not read.  The
+    result is checked: a slot that carried would lower the coefficients' sum
+    below n!.
     """
     _check_length(n)
-    return _joint(n, _eulerian_counts(n))
+    dist = JointDistribution(
+        BivarPoly(_TallyPacking(n).unpack(_eulerian_counts(n))), n, math.factorial(n))
+    dist.check()
+    return dist
 
 
 def simple_distribution(n: int, threads: int = 1) -> JointDistribution:
@@ -567,4 +645,5 @@ def simple_distribution(n: int, threads: int = 1) -> JointDistribution:
     from n = POOL_MIN_N on; shorter lengths run in this process.
     """
     _check_length(n)
-    return _joint(n, _simple_counts(n, threads if n >= POOL_MIN_N else 1))
+    counts = _simple_counts(n, threads if n >= POOL_MIN_N else 1)
+    return JointDistribution(BivarPoly(_TallyPacking(n).from_slots(counts)), n, sum(counts))

@@ -27,6 +27,7 @@ from gammalab.orbits import (
     verify_reduction,
 )
 from gammalab.permutations import (
+    complement,
     des,
     des_ides,
     enumerate_simple,
@@ -432,10 +433,21 @@ def tree_oracle_groups(n):
     return groups
 
 
+def test_complement_keeps_the_simplified_tree_and_mirrors_des_ides():
+    # _simplified_groups walks the first values a < n+1-a and mirrors the rest.
+    for n in range(1, 9):
+        for p in all_perms(n):
+            q = complement(p)
+            assert simplify(decompose(q)) == simplify(decompose(p)), p
+            d, e = des_ides(p)
+            assert des_ides(q) == (n - 1 - d, n - 1 - e), p
+
+
 def test_reduction_groups_match_the_tree_oracle(monkeypatch):
-    # The oracle builds every tree; the groups come from root splits and an
-    # index of shorter patterns' shapes.
-    for n in range(1, 8):
+    # The oracle builds every tree of S_n, with no mirroring; the groups come
+    # from root splits and an index of shorter patterns' shapes, over half of
+    # S_n plus the self-complementary middle shard at odd n.
+    for n in range(1, 9):
         assert _simplified_groups(n) == tree_oracle_groups(n), n
     # Parts longer than the index keeps are split again where they occur.
     monkeypatch.setattr(orbits, "_SHAPE_MEMO_MAX", 3)

@@ -288,6 +288,24 @@ def test_joint_distribution_check_rejects_wrong_count():
         JointDistribution(BivarPoly({(0, 0): 2, (1, 1): -1}), 2, 1).check()
 
 
+def test_eulerian_dp_checks_its_packing(monkeypatch):
+    # With slots too narrow for n = 8 (its largest coefficient is 8436), a
+    # slot carries and the unpacked coefficients sum to less than 8!.  The
+    # digit sum cannot see it: a carry leaves the tally mod 2**width - 1 alone.
+    from gammalab import permutations
+
+    class Narrow(permutations._TallyPacking):
+        def __init__(self, n):
+            super().__init__(n)
+            self.width = 10
+            self._mask = (1 << 10) - 1
+
+    monkeypatch.setattr(permutations, "_TallyPacking", Narrow)
+    assert Narrow(8).size(permutations._eulerian_counts(8)) == math.factorial(8) % 1023
+    with pytest.raises(DistributionError):
+        eulerian_distribution(8)
+
+
 def test_joint_distribution_mixed_lengths():
     with pytest.raises(ValueError):
         joint_distribution([(1, 2), (1, 2, 3)])
@@ -318,7 +336,7 @@ def test_parallel_reduction_is_bit_identical():
             for threads in (0, 1, 2):
                 assert dist(n, threads=threads) == expected
     # The pooled walk below the length where simple_distribution starts a pool.
-    assert _simple_counts(7, 2) == _simple_counts(7, 1) == Counter(dict(spar.poly.items()))
+    assert simple_counts(7, 2) == simple_counts(7, 1) == Counter(dict(spar.poly.items()))
 
 
 # A111111: the number of simple permutations of length n, n = 1..11.
@@ -350,6 +368,20 @@ def test_simple_counts_match_a111111():
     assert d.poly == simple_series(11, method="inversion").coeff(11)
 
 
+def slot_counter(n, slots):
+    # The walk counts (des, ides) = (d, e) in slot d*n + e of a flat list.
+    assert len(slots) == n * n
+    return Counter({divmod(k, n): c for k, c in enumerate(slots) if c})
+
+
+def shard(n, prefix):
+    return slot_counter(n, _tally_simple_shard((n, prefix)))
+
+
+def simple_counts(n, threads):
+    return slot_counter(n, _simple_counts(n, threads))
+
+
 def mirrored(counts, n):
     return Counter({(n - 1 - d, n - 1 - e): c for (d, e), c in counts.items()})
 
@@ -358,11 +390,9 @@ def test_complement_mirrors_every_shard():
     # _simple_counts walks only the prefixes q <= complement(q).
     for n in range(1, 10):
         for a in range(1, n + 1):
-            assert _tally_simple_shard((n, (a,))) == mirrored(
-                _tally_simple_shard((n, (n + 1 - a,))), n), (n, a)
+            assert shard(n, (a,)) == mirrored(shard(n, (n + 1 - a,)), n), (n, a)
     for a, b in ((2, 4), (3, 9), (6, 2)):
-        assert _tally_simple_shard((11, (a, b))) == mirrored(
-            _tally_simple_shard((11, (12 - a, 12 - b))), 11), (a, b)
+        assert shard(11, (a, b)) == mirrored(shard(11, (12 - a, 12 - b)), 11), (a, b)
 
 
 def test_every_first_value_shard_matches_filtered_enumeration():
@@ -370,11 +400,11 @@ def test_every_first_value_shard_matches_filtered_enumeration():
         simple = [p for p in enumerate_permutations(n) if is_simple(p)]
         for a in range(1, n + 1):
             expected = Counter(des_ides(p) for p in simple if p[0] == a)
-            assert _tally_simple_shard((n, (a,))) == expected, (n, a)
+            assert shard(n, (a,)) == expected, (n, a)
         if n >= 3:
             # The rest of 1 or of n is an interval, a block of length n - 1.
-            assert _tally_simple_shard((n, (1,))) == Counter()
-            assert _tally_simple_shard((n, (n,))) == Counter()
+            assert shard(n, (1,)) == Counter()
+            assert shard(n, (n,)) == Counter()
 
 
 def test_simple_walk_shards_by_pairs():
@@ -382,11 +412,11 @@ def test_simple_walk_shards_by_pairs():
     # adjacent values is a block there, so its shard is empty.
     for n in range(3, 8):
         pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
-        by_pair = sum((_tally_simple_shard((n, pair)) for pair in pairs), Counter())
-        assert by_pair == _simple_counts(n, 1), n
+        by_pair = sum((shard(n, pair) for pair in pairs), Counter())
+        assert by_pair == simple_counts(n, 1), n
         for a in range(1, n):
-            assert _tally_simple_shard((n, (a, a + 1))) == Counter()
-            assert _tally_simple_shard((n, (a + 1, a))) == Counter()
+            assert shard(n, (a, a + 1)) == Counter()
+            assert shard(n, (a + 1, a)) == Counter()
 
 
 def test_pool_starts_only_from_pool_min_n(monkeypatch):
