@@ -7,6 +7,13 @@ expansions, and ``verify`` for the exhaustive identity suites.  Output is
 deterministic: the same command and configuration always produce identical
 bytes, in any of the three formats (text, json, csv).
 
+Each command's payload is written as JSON text first (`_json_text`, the bytes
+of ``json.dumps(payload, indent=2, sort_keys=True)``); text and csv are
+rendered from ``json.loads`` of that text.  Two values are pre-rendered: the
+``tree_json`` and ``chains`` of ``decompose`` are written as JSON text for
+their depth in the payload (`_tree_json_text`, `_chains_json_text`) and
+marked `_JsonText`, which the writer appends as it is.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
 3 resource bound exceeded.
 """
@@ -132,21 +139,33 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 def _emit(payload: dict, args: argparse.Namespace) -> None:
-    fmt = args.format
-    if fmt == "json":
-        out = _json_text(payload) + "\n"
-    elif fmt == "csv":
-        out = _to_csv(payload)
+    """Write ``payload`` in the chosen format.
+
+    The JSON text is always built first; text and csv are rendered from
+    ``json.loads`` of it, so a payload may hold `_JsonText` values and every
+    format sees the same plain data.
+    """
+    text = _json_text(payload)
+    if args.format == "json":
+        out = (text, "\n")  # two writes: no copy of the whole text for its newline
+    elif args.format == "csv":
+        out = (_to_csv(json.loads(text)),)
     else:
-        out = _to_text(payload)
+        out = (_to_text(json.loads(text)),)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(out)
+                fh.writelines(out)
         except OSError as exc:
             raise ParseError(f"cannot write --output {args.output}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(out)
+        sys.stdout.writelines(out)
+
+
+class _JsonText(str):
+    """A value already written as JSON text, with the line breaks and indents
+    of the depth where it sits; `_json_text` appends it verbatim."""
+    __slots__ = ()
 
 
 def _json_text(obj: object) -> str:
@@ -157,8 +176,9 @@ def _json_text(obj: object) -> str:
     an explicit stack of open containers instead; the line break and the
     item separator of each depth are built once and shared by every
     container there.  Strings, ints, bools, None, dicts, lists and tuples are
-    written here; anything else (floats, subclasses of str or int,
-    unsupported types) goes through ``json.dumps``.
+    written here, and a `_JsonText` value is appended as it is; anything else
+    (floats, other subclasses of str or int, unsupported types) goes through
+    ``json.dumps``.
 
     >>> print(_json_text({"b": [1, True, None], "a": "\u00e9"}))
     {
@@ -223,7 +243,7 @@ def _json_text(obj: object) -> str:
                     close = "]"
                 continue
         else:
-            append(json.dumps(value))
+            append(value if kind is _JsonText else json.dumps(value))
         # Find the next value to write, closing every container that is done.
         while depth:
             item = next(items, _DONE)
@@ -255,6 +275,154 @@ def _json_key(key: object, keys: dict[str, str]) -> str:
     if key is None or isinstance(key, (int, float)):
         return encode_basestring_ascii(json.dumps(key)) + ": "
     raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+
+
+def _tree_json_text(t: trees.DecompTree, depth: int) -> _JsonText:
+    """``_json_text(trees.tree_json(t))`` for the value at ``depth``, written
+    by one loop over the nodes.
+
+    A node at depth d adds its leaf text, or its opening and, after its
+    children at depth d + 2, its closing: the skeleton list and the brackets.
+    Leaf texts, openings and separators are built once per depth and closings
+    once per (skeleton, depth), so a chain of sums reuses the same few strings
+    at every level, and a tree of any depth is written without recursion.
+
+    >>> print(_tree_json_text(trees.decompose((2, 1)), 1))
+    {
+        "children": [
+          {
+            "children": [],
+            "skeleton": null
+          },
+          {
+            "children": [],
+            "skeleton": null
+          }
+        ],
+        "skeleton": [
+          2,
+          1
+        ]
+      }
+    """
+    levels: dict[int, tuple[str, ...]] = {}
+    closings: dict[tuple, str] = {}
+
+    def level(d: int) -> tuple[str, ...]:
+        """The opening at depth d, the separator of the items at d + 2 (the
+        children and the skeleton's entries), a leaf child with and without
+        that separator, and the two ends of a closing."""
+        pad = "\n" + "  " * d
+        inner = pad + "  "
+        item = inner + "  "
+        sep = "," + item
+        leaf = _leaf_json_text(d + 2)
+        found = levels[d] = ("{" + inner + '"children": [' + item, sep, sep + leaf, leaf,
+                             inner + "]," + inner + '"skeleton": [' + item, inner + "]" + pad + "}")
+        return found
+
+    if t.skeleton is None:
+        return _JsonText(_leaf_json_text(depth))
+    parts: list[str] = []
+    append = parts.append
+    stack: list = [(t, depth)]
+    push = stack.append
+    pop = stack.pop
+    while stack:
+        item = pop()
+        if item.__class__ is str:
+            append(item)
+            continue
+        sub, d = item
+        skeleton = sub.skeleton
+        opening, sep, sep_leaf, leaf, head, tail = levels.get(d) or level(d)
+        closing = closings.get((skeleton, d))
+        if closing is None:
+            closing = closings[skeleton, d] = head + sep.join(map(str, skeleton)) + tail
+        push(closing)
+        children = sub.children
+        d += 2
+        for i in range(len(children) - 1, 0, -1):
+            child = children[i]
+            if child.skeleton is None:
+                push(sep_leaf)
+            else:
+                push((child, d))
+                push(sep)
+        child = children[0]
+        push(leaf if child.skeleton is None else (child, d))
+        append(opening)
+    return _JsonText("".join(parts))
+
+
+def _leaf_json_text(depth: int) -> str:
+    """``_json_text(trees.tree_json(trees.LEAF))`` for the value at ``depth``."""
+    pad = "\n" + "  " * depth
+    inner = pad + "  "
+    return "{" + inner + '"children": [],' + inner + '"skeleton": null' + pad + "}"
+
+
+class _IntTexts(dict):
+    """int -> its decimal text, each made once."""
+
+    def __missing__(self, value: int) -> str:
+        text = self[value] = str(value)
+        return text
+
+
+def _chains_json_text(part: trees.ChainPartition, depth: int) -> _JsonText:
+    """The ``chains`` records of `cmd_decompose` as `_json_text` writes them
+    for the value at ``depth``: each path is written with one join.
+
+    >>> part = trees.binary_right_chains(trees.decompose((1, 3, 2)))
+    >>> print(_chains_json_text(part, 0))
+    [
+      {
+        "labels": [
+          "12",
+          "21"
+        ],
+        "length": 2,
+        "odd": false,
+        "paths": [
+          [],
+          [
+            1
+          ]
+        ]
+      }
+    ]
+    """
+    if not part.chains:
+        return _JsonText("[]")
+    # pads[k] is the line break and indent at depth + k.
+    pads = ["\n" + "  " * d for d in range(depth, depth + 5)]
+    record_sep = "," + pads[1]
+    item_sep = "," + pads[3]
+    path_open, path_sep, path_close = "[" + pads[4], "," + pads[4], pads[3] + "]"
+    labels_head = "{" + pads[2] + '"labels": [' + pads[3]
+    length_head = pads[2] + "]," + pads[2] + '"length": '
+    odd_head = "," + pads[2] + '"odd": '
+    paths_head = "," + pads[2] + '"paths": [' + pads[3]
+    tail = pads[2] + "]" + pads[1] + "}"
+    labels: dict[tuple[int, ...], str] = {}
+    index_text = _IntTexts().__getitem__  # paths repeat a few small indices
+    records = []
+    for paths, skeletons in zip(part.chains, part.skeletons):
+        for skeleton in skeletons:
+            if skeleton not in labels:
+                labels[skeleton] = encode_basestring_ascii("".join(map(str, skeleton)))
+        records.append("".join([
+            labels_head, item_sep.join([labels[s] for s in skeletons]),
+            length_head, str(len(paths)),
+            odd_head, "true" if len(paths) % 2 else "false",
+            paths_head,
+            item_sep.join([path_open + path_sep.join(map(index_text, path)) + path_close
+                           if path else "[]"
+                           for path in paths]),
+            tail,
+        ]))
+    return _JsonText("[" + pads[1] + record_sep.join(records) + pads[0] + "]")
 
 
 def _to_text(payload: dict, indent: str = "") -> str:
@@ -321,20 +489,12 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     p = parse_permutation(args.perm)
     t = trees.decompose(p)
     part = trees.binary_right_chains(t)
-    chains = []
-    for chain, skeletons in zip(part.chains, part.skeletons):
-        labels = ["".join(map(str, skeleton)) for skeleton in skeletons]
-        chains.append({
-            "paths": [list(path) for path in chain],
-            "labels": labels,
-            "length": len(chain),
-            "odd": len(chain) % 2 == 1,
-        })
+    # The two bulk values, pre-rendered for depth 1 of the payload.
     payload = {
         "permutation": format_permutation(p),
         "tree": trees.tree_text(t),
-        "tree_json": trees.tree_json(t),
-        "chains": chains,
+        "tree_json": _tree_json_text(t, 1),
+        "chains": _chains_json_text(part, 1),
         "odd_chain_count": part.odd_chain_count,
         "simplified": trees.simplified_text(trees.simplify(t)),
     }

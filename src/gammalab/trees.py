@@ -70,31 +70,37 @@ def _decompose(p: Permutation, start: int, stop: int, base: int) -> DecompTree:
     """The tree of the segment p[start:stop], whose values are base+1..base+n."""
     if stop - start == 1:
         return LEAF
-    skeleton, parts = _split(p, start, stop, base)
+    parts = _split(p, start, stop, base)
     if len(parts) == 2:
-        # Binary nodes recurse without a comprehension frame, so a chain of
-        # sums costs one interpreter frame per level.
-        return DecompTree(skeleton, (_decompose(p, *parts[0]), _decompose(p, *parts[1])))
-    return DecompTree(skeleton, tuple(_decompose(p, *part) for part in parts))
+        # A sum (its bases rise) or a skew sum: a simple quotient has at least
+        # four parts.  Binary nodes recurse without a comprehension frame, so
+        # a chain of sums costs one interpreter frame per level.
+        left, right = parts
+        return DecompTree(_ASC if left[2] < right[2] else _DESC,
+                          (_decompose(p, *left), _decompose(p, *right)))
+    return DecompTree(standardize([b for _, _, b in parts]),
+                      tuple(_decompose(p, *part) for part in parts))
 
 
 Part = tuple[int, int, int]  # (start, stop, base) of a segment holding an interval
 
 
-def _split(p: Permutation, start: int, stop: int, base: int) -> tuple[Permutation, list[Part]]:
-    """The root of the tree of p[start:stop] (length >= 2, values
-    base+1..base+n): its skeleton, and its parts as (start, stop, base).
+def _split(p: Permutation, start: int, stop: int, base: int) -> list[Part]:
+    """The root parts of the tree of p[start:stop] (length >= 2, values
+    base+1..base+n), as (start, stop, base).
 
     Every part holds an interval of values, so it is passed on as its
-    positions and value offset and only the skeleton is standardized.  ``p``
-    may be any sequence of ints, bytes included.
+    positions and value offset.  The root's skeleton is the standardized
+    list of the parts' bases; it is left to the caller, since the
+    reduction's shape index never reads it.  ``p`` may be any sequence of
+    ints, bytes included.
 
     >>> _split((2, 1, 3, 5, 4), 0, 5, 0)
-    ((1, 2), [(0, 3, 0), (3, 5, 3)])
+    [(0, 3, 0), (3, 5, 3)]
     >>> _split((3, 4, 1, 2), 0, 4, 0)
-    ((2, 1), [(0, 2, 2), (2, 4, 0)])
+    [(0, 2, 2), (2, 4, 0)]
     >>> _split((4, 5, 2, 3, 9, 8, 1, 6, 7), 0, 9, 0)
-    ((2, 4, 1, 3), [(0, 4, 1), (4, 6, 7), (6, 7, 0), (7, 9, 5)])
+    [(0, 4, 1), (4, 6, 7), (6, 7, 0), (7, 9, 5)]
 
     One right-to-left pass looks at every proper suffix that is an interval.
     It stops at the shortest one holding the top values (a sum: its lowest
@@ -128,9 +134,9 @@ def _split(p: Permutation, start: int, stop: int, base: int) -> tuple[Permutatio
             hi = v
         if hi - lo + i == last:
             if lo == top + i:
-                return _ASC, [(start, i, base), (i, stop, base + i - start)]
+                return [(start, i, base), (i, stop, base + i - start)]
             if hi == bottom - i:
-                return _DESC, [(start, i, base + stop - i), (i, stop, base)]
+                return [(start, i, base + stop - i), (i, stop, base)]
             first, low = i, lo
     parts = [(first, stop, low - 1)]
     ceiling = base + stop - start + 1  # above every value
@@ -158,7 +164,7 @@ def _split(p: Permutation, start: int, stop: int, base: int) -> tuple[Permutatio
         parts.append((first, j + 1, low - 1))
         j = first - 1
     parts.reverse()
-    return standardize([b for _, _, b in parts]), parts
+    return parts
 
 
 def reconstruct(t: DecompTree) -> Permutation:
@@ -366,7 +372,11 @@ def tree_text(t: DecompTree) -> str:
 
 
 def tree_json(t: DecompTree) -> dict:
-    """JSON form {skeleton: [...] | null, children: [...]}."""
+    """JSON form {skeleton: [...] | null, children: [...]}.
+
+    The CLI writes this form's text directly (`cli._tree_json_text`); this
+    function is the reference its tests compare against.
+    """
     return {
         "skeleton": list(t.skeleton) if t.skeleton is not None else None,
         "children": [tree_json(c) for c in t.children],

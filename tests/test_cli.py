@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gammalab import cli
+from gammalab import cli, trees
 from gammalab.permutations import (
     direct_sum,
+    format_permutation,
     inflate,
     is_simple,
     is_skew_indecomposable,
@@ -395,6 +396,101 @@ def test_json_text_writes_deep_nesting_without_recursion():
     expected = ("".join("[\n" + "  " * d for d in range(1, depth + 2)) + "1"
                 + "".join("\n" + "  " * d + "]" for d in range(depth, -1, -1)))
     assert cli._json_text(deep) == expected
+
+
+def plain_decompose_payload(p):
+    """The decompose payload as plain dicts and lists, with `trees.tree_json`."""
+    t = trees.decompose(p)
+    part = trees.binary_right_chains(t)
+    return {
+        "permutation": format_permutation(p),
+        "tree": trees.tree_text(t),
+        "tree_json": trees.tree_json(t),
+        "chains": [{"paths": [list(path) for path in chain],
+                    "labels": ["".join(map(str, s)) for s in skeletons],
+                    "length": len(chain),
+                    "odd": len(chain) % 2 == 1}
+                   for chain, skeletons in zip(part.chains, part.skeletons)],
+        "odd_chain_count": part.odd_chain_count,
+        "simplified": trees.simplified_text(trees.simplify(t)),
+    }
+
+
+def random_separable(rng, n):
+    """Join random neighbours by direct or skew sums until one part is left."""
+    parts = [(1,)] * n
+    while len(parts) > 1:
+        i = rng.randrange(len(parts) - 1)
+        join = direct_sum if rng.random() < 0.5 else skew_sum
+        parts[i:i + 2] = [join(parts[i], parts[i + 1])]
+    return parts[0]
+
+
+def random_inflated(rng, n):
+    """2413 inflated at every size >= 4 by four random shorter parts."""
+    if n < 4:
+        return tuple(rng.sample(range(1, n + 1), n))
+    cuts = sorted(rng.sample(range(1, n), 3))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    return inflate((2, 4, 1, 3), [random_inflated(rng, k) for k in sizes])
+
+
+def test_decompose_json_is_json_dumps_of_the_plain_payload(capsys):
+    inputs = [p for n in range(1, 8) for p in itertools.permutations(range(1, n + 1))]
+    rng = random.Random(1024)
+    for n in (4, 9, 33, 100, 257, 1024):
+        for _ in range(2):
+            inputs += [tuple(rng.sample(range(1, n + 1), n)), random_separable(rng, n),
+                       random_inflated(rng, n)]
+    for p in inputs:
+        assert cli.main(["decompose", " ".join(map(str, p)), "--format", "json"]) == 0
+        expected = json.dumps(plain_decompose_payload(p), indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == expected, p
+
+
+def plain_tree_json(t):
+    """`trees.tree_json(t)`, built without recursion."""
+    root = {}
+    stack = [(t, root)]
+    while stack:
+        sub, out = stack.pop()
+        out["skeleton"] = None if sub.skeleton is None else list(sub.skeleton)
+        out["children"] = [{} for _ in sub.children]
+        stack.extend(zip(sub.children, out["children"]))
+    return root
+
+
+def stack_depth():
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_tree_json_text_writes_a_deep_chain_without_recursion():
+    sigma = trees.decompose((4, 5, 2, 3, 9, 8, 1, 6, 7))
+    assert plain_tree_json(sigma) == trees.tree_json(sigma)
+    # A chain of 600 binary nodes, rendered under a recursion limit 50 frames
+    # above the caller's: a renderer with one frame per level would need 600.
+    # (Its text grows with the square of the depth: 5000 levels would be
+    # about 550 MB per rendering.)
+    t = trees.LEAF
+    for i in range(600):
+        t = trees.node((1, 2) if i % 2 else (2, 1), trees.LEAF, t)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + 50)
+    try:
+        texts = [cli._tree_json_text(t, depth) for depth in range(4)]
+        with pytest.raises(RecursionError):
+            trees.tree_json(t)
+    finally:
+        sys.setrecursionlimit(limit)
+    plain = plain_tree_json(t)
+    for depth, text in enumerate(texts):
+        wrapped, expected = text, plain
+        for _ in range(depth):
+            wrapped, expected = [wrapped], [expected]
+        assert cli._json_text(wrapped) == cli._json_text(expected), depth
 
 
 def test_threads_env_fallback():

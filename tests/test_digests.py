@@ -40,3 +40,20 @@ def test_lemma39_at_n10_matches_its_recorded_digest():
         code = cli.main(["verify", "--suite", "lemma39", "--max-n", "10", "--format", "json"])
     assert code == cli.EXIT_OK
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == LEMMA39_N10
+
+
+# Text and csv stdout of small stats, decompose, poly and verify commands,
+# recorded before these formats were rendered from the JSON text.
+FORMAT_DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "format_digests.json")
+
+with open(FORMAT_DIGESTS, encoding="utf-8") as _fh:
+    FORMAT_RECORDED = json.load(_fh)
+
+
+@pytest.mark.parametrize("record", FORMAT_RECORDED, ids=lambda r: " ".join(r["argv"]))
+def test_text_and_csv_stdout_match_the_recorded_digest(record):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(record["argv"])
+    assert code == cli.EXIT_OK
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == record["sha256"]

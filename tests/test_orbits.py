@@ -458,6 +458,42 @@ def test_reduction_groups_match_the_tree_oracle(monkeypatch):
     assert max(map(len, index)) == 3
 
 
+def factor_product_reference(st, simple_polys):
+    """`simplified_class_polynomial` as first written: one factor per node of
+    length >= 4 and per binary right chain, multiplied in walk order."""
+    result = BivarPoly.const(1)
+    stack = [(st, False)]
+    while stack:
+        nd, under = stack.pop()
+        if len(nd) >= 4:
+            if len(nd) not in simple_polys:
+                simple_polys[len(nd)] = simple_distribution(len(nd)).poly
+            result = result * simple_polys[len(nd)]
+        if len(nd) == 2 and not under:
+            length, cur = 0, nd
+            while len(cur) == 2:
+                length, cur = length + 1, cur[-1]
+            half, odd = divmod(length, 2)
+            result = result * ST ** half * (ONE_PLUS_ST if odd else BivarPoly.const(2))
+        stack.extend((c, len(nd) == 2 and i == 1) for i, c in enumerate(nd))
+    return result
+
+
+def test_reduction_products_shared_by_factor_key_match_the_direct_product():
+    # verify_reduction builds one product per _factor_key; a key that forgot
+    # a factor would hand one group another group's product.
+    products, simple_polys = {}, {}
+    groups = 0
+    for n in range(1, 9):
+        for st in _simplified_groups(n):
+            groups += 1
+            key = orbits._factor_key(st)
+            if key not in products:
+                products[key] = orbits._factor_product(key)
+            assert products[key] == factor_product_reference(st, simple_polys), st
+    assert (groups, len(products)) == (1608, 74)
+
+
 def test_wreath_style_inflations_stay_in_closure():
     # Inflating 12 by members of {21, 132} lands on the expected set.
     from gammalab.permutations import inflate

@@ -150,8 +150,8 @@ def assert_split_walk_matches(p, ref):
         if stop - start == 1:
             assert t is LEAF
             continue
-        skeleton, parts = _split(p, start, stop, base)
-        assert skeleton == t.skeleton, (start, stop)
+        parts = _split(p, start, stop, base)
+        assert standardize([b for _, _, b in parts]) == t.skeleton, (start, stop)
         assert parts[0][0] == start and parts[-1][1] == stop
         assert all(x[1] == y[0] for x, y in zip(parts, parts[1:]))
         stack.extend(zip(parts, t.children))
