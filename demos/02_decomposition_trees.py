@@ -16,7 +16,7 @@ from gammalab import (
     tree_text,
 )
 from gammalab.permutations import inflate
-from gammalab.trees import simplified_text, subtree_at
+from gammalab.trees import simplified_text
 
 sigma = (4, 5, 2, 3, 9, 8, 1, 6, 7)
 print(f"sigma = {sigma}")
@@ -32,8 +32,8 @@ print()
 # Maximal chains of 12/21 nodes along rightmost-child links.  Labels must
 # alternate inside a chain; odd chains matter for the orbit involutions.
 part = binary_right_chains(tree)
-for idx, chain in enumerate(part.chains):
-    labels = ["".join(map(str, subtree_at(tree, path).skeleton)) for path in chain]
+for idx, (chain, skeletons) in enumerate(zip(part.chains, part.skeletons)):
+    labels = ["".join(map(str, skeleton)) for skeleton in skeletons]
     parity = "odd" if len(chain) % 2 else "even"
     print(f"chain {idx}: length {len(chain)} ({parity})  labels {labels}")
 print(f"odd chains: {part.odd_chain_count}")

@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -60,16 +59,6 @@ METHODS = {
 }
 
 
-def _threads_default() -> int:
-    env = os.environ.get("GAMMALAB_THREADS")
-    if env:
-        try:
-            return _non_negative(env)
-        except (ValueError, argparse.ArgumentTypeError):
-            pass
-    return 0
-
-
 def _bounded_int(low: int):
     def parse(text: str) -> int:
         value = int(text)
@@ -87,11 +76,11 @@ _non_negative = _bounded_int(0)
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["text", "json", "csv"], default="text")
     parser.add_argument("--output", metavar="PATH", default=None)
-    parser.add_argument("--threads", type=_non_negative, default=None,
+    parser.add_argument("--threads", type=_non_negative, default=0,
                         help="worker count for the simple-permutation tallies by enumeration, "
                              "the only ones that read it (poly --target simple --method "
                              "enumerate, verify --suite conjecture --method enumerate); "
-                             "0 = auto; default from GAMMALAB_THREADS")
+                             "0 (the default) = one per core")
 
 
 @functools.cache
@@ -595,7 +584,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
         results = [{"check": name, "pass": passed} for name, passed in report.checks]
     else:  # lemma39
         _check_enum_bound(max_n, args.long_run, "a smaller --max-n")
-        orbits.check_closure_tree_length(max_n)
         for report in orbits.closure_class_reports(max_n):
             expansion = report.expansion
             passed = report.ok
@@ -625,8 +613,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads is None:
-        args.threads = _threads_default()
     try:
         if args.command == "stats":
             return cmd_stats(args)

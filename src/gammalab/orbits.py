@@ -11,7 +11,9 @@ A chain flip changes des and ides by the same +-1; a length-4 swap moves one
 descent from ides to des or back.  Each orbit therefore contributes a single
 gamma-basis element to the joint (des, ides) distribution, with exponents read
 off the orbit's minimal representative: the unique tree whose odd chains all
-start with 12 and whose length-4 nodes are all labeled 2413.
+start with 12 and whose length-4 nodes are all labeled 2413.  The chains
+come from `trees.binary_right_chains`, the one walk that follows them: the
+moves, the minimal representative and its signature all read that partition.
 
 The class report never builds a tree.  A node's minimal representative is
 made from its children's, so the orbits of one size come from those of
@@ -22,12 +24,10 @@ the (des, ides) tally of all its members packed in one int
 inflation multiplies tallies), and the node counts of its minimal
 representative, from which its signature follows.  At n = 10
 the 85369 classes stand for 909482 trees, and at n = 11 the 424330
-classes for 5753398.  On a 2-vCPU host `verify --suite lemma39 --max-n 10`
-takes about 1.5 s and 120 MB, and `--max-n 11 --long-run` about 9 s and
-580 MB.  Sizes past `MAX_CLOSURE_TREE_N` are refused before anything is
-built.  `closure_trees` builds the trees themselves, size by size, for
-the tests to compare against; the closure polynomials come by series
-inversion (`series.closure_series`), which generates no tree.
+classes for 5753398.  Sizes past `MAX_CLOSURE_TREE_N` are refused before
+anything is built.  `closure_trees` builds the trees themselves, size by
+size, for the tests to compare against; the closure polynomials come by
+series inversion (`series.closure_series`), which generates no tree.
 
 The same bookkeeping at the level of *simplified* trees (labels reduced to
 lengths) factors the full two-sided Eulerian polynomial into per-shape
@@ -86,22 +86,19 @@ _LEN4 = {(2, 4, 1, 3), (3, 1, 4, 2)}
 _TOGGLE = {_ASC: _DESC, _DESC: _ASC, (2, 4, 1, 3): (3, 1, 4, 2), (3, 1, 4, 2): (2, 4, 1, 3)}
 
 
-def _rebuild(t: DecompTree, swap_paths: set[Path]) -> DecompTree:
-    """Copy ``t`` with the skeletons at ``swap_paths`` toggled within their pair."""
-
-    def rb(sub: DecompTree, path: Path) -> DecompTree:
-        skel = sub.skeleton
-        if skel is None:
-            return LEAF
-        if path in swap_paths:
-            if skel not in _TOGGLE:
-                raise StructureError(f"cannot toggle skeleton {skel}")
-            skel = _TOGGLE[skel]
-        return DecompTree(
-            skel, tuple(rb(c, path + (i,)) for i, c in enumerate(sub.children))
-        )
-
-    return rb(t, ())
+def _rebuild(t: DecompTree, swap_paths: set[Path], path: Path = ()) -> DecompTree:
+    """Copy ``t``, the subtree at ``path``, with the skeletons at
+    ``swap_paths`` toggled within their pair; ``t`` itself when there are none."""
+    if not swap_paths:
+        return t
+    skel = t.skeleton
+    if path in swap_paths:
+        skel = _TOGGLE[skel]
+    children = []  # a loop, not a generator: one interpreter frame per level
+    for i, child in enumerate(t.children):
+        children.append(child if child.skeleton is None
+                        else _rebuild(child, swap_paths, path + (i,)))
+    return DecompTree(skel, tuple(children))
 
 
 def flip_odd_chain(t: DecompTree, chain_index: int) -> DecompTree:
@@ -141,36 +138,16 @@ def swap_length4_label(t: DecompTree, node_index: int) -> DecompTree:
 def minimal_representative(t: DecompTree) -> DecompTree:
     """Normalize: every odd chain starts with 12, every length-4 node is 2413.
 
-    The corresponding permutation has the fewest descents in its orbit.
-    Subtrees that are already normalized are returned as they are, so an
-    already-minimal tree comes back as the same object.
+    The corresponding permutation has the fewest descents in its orbit.  One
+    `_rebuild` toggles every node of each odd chain led by 21 (read from
+    `binary_right_chains`) and every 3142 node, so an already-minimal tree
+    comes back as the same object.
     """
-    return _normalized(t, None)
-
-
-def _normalized(t: DecompTree, toggle: bool | None) -> DecompTree:
-    """``t`` normalized; ``toggle`` tells a node inside a binary right chain
-    whether its chain flips, and is None at any other node."""
-    skel = t.skeleton
-    if skel is None:
-        return t
-    children = t.children
-    if skel in _BINARY:
-        if toggle is None:  # a chain head: flip the chain iff odd and led by 21
-            length = 0
-            cur = t
-            while cur.skeleton in _BINARY:
-                length += 1
-                cur = cur.children[-1]
-            toggle = length % 2 == 1 and skel == _DESC
-        new_children = (_normalized(children[0], None), _normalized(children[1], toggle))
-        flip = toggle
-    else:
-        new_children = tuple(_normalized(c, None) for c in children)
-        flip = skel == (3, 1, 4, 2)
-    if not flip and all(a is b for a, b in zip(new_children, children)):
-        return t
-    return DecompTree(_TOGGLE[skel] if flip else skel, new_children)
+    part = binary_right_chains(t)
+    toggle = {path for chain, labels in zip(part.chains, part.skeletons)
+              if len(chain) % 2 and labels[0] == _DESC for path in chain}
+    toggle.update(path for path, sub in iter_nodes(t) if sub.skeleton == (3, 1, 4, 2))
+    return _rebuild(t, toggle)
 
 
 @dataclass(frozen=True)
@@ -199,37 +176,23 @@ class ClassSignature:
 
 
 def signature_of(minimal: DecompTree) -> ClassSignature:
-    """The node counts of ``minimal``, in one stack walk.
-
-    Each stack entry carries the node's position in the binary right chain
-    it continues (0 when it continues none), so every chain is counted at
-    the non-binary node that ends it.
-    """
-    leaves = n21 = n4 = n5 = odd_chains = 0
-    stack = [(minimal, 0)]
-    while stack:
-        sub, position = stack.pop()
+    """The node counts of ``minimal``: leaves, 21-nodes and length-4/5 nodes
+    from one node walk, odd chains from `binary_right_chains`."""
+    leaves = n21 = n4 = n5 = 0
+    for _, sub in iter_nodes(minimal):
         skel = sub.skeleton
-        if skel is not None and len(skel) == 2:
-            if skel == _DESC:
-                n21 += 1
-            stack.append((sub.children[0], 0))
-            stack.append((sub.children[1], position + 1))
-            continue
-        if position % 2:
-            odd_chains += 1
         if skel is None:
             leaves += 1
-            continue
-        k = len(skel)
-        if k == 4:
+        elif len(skel) == 2:
+            n21 += skel == _DESC
+        elif len(skel) == 4:
             n4 += 1
-        elif k == 5:
+        elif len(skel) == 5:
             n5 += 1
         else:
-            raise ValueError(f"skeleton of length {k} outside the closure of lengths <= 5")
-        stack.extend((c, 0) for c in sub.children)
-    return ClassSignature(n=leaves, n21=n21, n4=n4, n5=n5, odd_chains=odd_chains)
+            raise ValueError(f"skeleton of length {len(skel)} outside the closure of lengths <= 5")
+    return ClassSignature(n=leaves, n21=n21, n4=n4, n5=n5,
+                          odd_chains=binary_right_chains(minimal).odd_chain_count)
 
 
 @dataclass(frozen=True)
@@ -250,19 +213,16 @@ def equivalence_class(p: Permutation) -> EquivClass:
         raise ValueError(
             f"{p} has a skeleton longer than 5; equivalence classes are not defined"
         )
+    # Every move keeps the tree's shape, so the chains and the length-4
+    # nodes of ``t`` are those of every member.
+    moves = [set(chain) for chain in binary_right_chains(t).chains if len(chain) % 2]
+    moves += [{path} for path in length4_nodes(t)]
     seen = {t}
     queue = [t]
     while queue:
         u = queue.pop()
-        part = binary_right_chains(u)
-        for idx, chain in enumerate(part.chains):
-            if len(chain) % 2 == 1:
-                v = flip_odd_chain(u, idx)
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        for j in range(len(length4_nodes(u))):
-            v = swap_length4_label(u, j)
+        for move in moves:
+            v = _rebuild(u, move)
             if v not in seen:
                 seen.add(v)
                 queue.append(v)
@@ -306,7 +266,7 @@ def _compositions(n: int, parts: int):
 MAX_CLOSURE_TREE_N = 11
 
 
-def check_closure_tree_length(n: int) -> None:
+def _check_closure_tree_length(n: int) -> None:
     """Refuse a tree size the pools cannot hold: past `MAX_CLOSURE_TREE_N`
     (or outside what `_check_length` allows)."""
     _check_length(n)
@@ -323,7 +283,7 @@ def closure_trees(n: int, k: int) -> list[DecompTree]:
     substitution closure of the short simple permutations with S_n.  The
     trees are built size by size from the lists of all smaller ones.
     """
-    check_closure_tree_length(n)
+    _check_closure_tree_length(n)
     if k < 2:
         raise ValueError("k must be at least 2")
     skeletons = [s for ell in range(2, min(k, n) + 1) for s in enumerate_simple(ell)]
@@ -372,12 +332,6 @@ def _signature(n: int, counts: int) -> ClassSignature:
     return ClassSignature(n, counts & 255, counts >> 8 & 255, counts >> 16 & 255, counts >> 24)
 
 
-@lru_cache(maxsize=64)
-def _head(skel: tuple[int, ...]) -> str:
-    """The text of a node labeled ``skel`` up to its first child: ``2413[``."""
-    return _skeleton_text(skel) + "["
-
-
 def _class_tallies(n: int) -> Iterator[dict[str, tuple[int, int]]]:
     """Yield ``heads[m]`` for m = 1..n: the normal-form text of every orbit
     of the closure of the simple permutations of length <= 5 in S_m ->
@@ -397,7 +351,7 @@ def _class_tallies(n: int) -> Iterator[dict[str, tuple[int, int]]]:
     to the minimal form, and one odd chain if L is odd).  The top size
     builds no ``tails``, and drops the smaller sizes before it is yielded.
     """
-    check_closure_tree_length(n)
+    _check_closure_tree_length(n)
     pack = _TallyPacking(n)
     factors: dict[Permutation, int] = {}  # normal-form skeleton -> packed tally of its skeletons
     for ell in (4, 5):
@@ -412,7 +366,7 @@ def _class_tallies(n: int) -> Iterator[dict[str, tuple[int, int]]]:
         classes: dict[str, tuple[int, int]] = {}
         right: dict[Permutation | None, list] = {_ASC: [], _DESC: [], None: []}
         for label, factor in factors.items():
-            head = _head(label)
+            head = _skeleton_text(label) + "["
             node = _N4 if len(label) == 4 else _N5
             for comp in _compositions(m, len(label)):
                 for kids in itertools.product(*[heads[c].items() for c in comp]):
@@ -426,7 +380,8 @@ def _class_tallies(n: int) -> Iterator[dict[str, tuple[int, int]]]:
                         right[None].append((text, text, 0, tally, counts))
         for skel in _BINARY:
             toggled = _TOGGLE[skel]
-            kept_head, flipped_head = _head(skel), _head(toggled)
+            kept_head = _skeleton_text(skel) + "["
+            flipped_head = _skeleton_text(toggled) + "["
             shift = pack.shift(*des_ides(skel))
             odd_flips = skel == _DESC  # the normal form flips odd chains led by 21
             chains = right[skel]
@@ -561,28 +516,6 @@ def _simple_poly(length: int) -> BivarPoly:
     return simple_distribution(length).poly
 
 
-def _simplified_chain_lengths(st: SimplifiedTree) -> list[int]:
-    chains: list[int] = []
-
-    def walk(nd: SimplifiedTree, under: bool) -> None:
-        if not nd:
-            return
-        binary = len(nd) == 2
-        if binary and not under:
-            length = 0
-            cur = nd
-            while cur and len(cur) == 2:
-                length += 1
-                cur = cur[-1]
-            chains.append(length)
-        last = len(nd) - 1
-        for i, c in enumerate(nd):
-            walk(c, binary and i == last)
-
-    walk(st, False)
-    return chains
-
-
 def simplified_class_polynomial(st: SimplifiedTree) -> BivarPoly:
     """Joint polynomial over all permutations sharing the simplified tree ``st``.
 
@@ -596,14 +529,29 @@ def simplified_class_polynomial(st: SimplifiedTree) -> BivarPoly:
 
 def _factor_key(st: SimplifiedTree) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The sorted node lengths >= 4 and the sorted chain lengths of ``st``:
-    all that its factor product reads, and shared by many shapes."""
-    lengths = []
-    for length in _iter_simplified_lengths(st):
-        if length == 3:
+    all that its factor product reads, and shared by many shapes.
+
+    One stack walk; each entry carries the length of the right chain it
+    continues (0 if none), so a chain is counted at the node that ends it.
+    """
+    lengths: list[int] = []
+    chains: list[int] = []
+    stack = [(st, 0)]
+    while stack:
+        nd, position = stack.pop()
+        k = len(nd)
+        if k == 2:
+            stack.append((nd[0], 0))
+            stack.append((nd[1], position + 1))
+            continue
+        if position:
+            chains.append(position)
+        if k == 3:
             raise StructureError("simplified tree has a node of length 3")
-        if length >= 4:
-            lengths.append(length)
-    return tuple(sorted(lengths)), tuple(sorted(_simplified_chain_lengths(st)))
+        if k >= 4:
+            lengths.append(k)
+        stack.extend([(c, 0) for c in nd])
+    return tuple(sorted(lengths)), tuple(sorted(chains))
 
 
 def _factor_product(key: tuple[tuple[int, ...], tuple[int, ...]]) -> BivarPoly:
@@ -619,15 +567,6 @@ def _factor_product(key: tuple[tuple[int, ...], tuple[int, ...]]) -> BivarPoly:
         else:
             result = result * (ST ** half * 2)
     return result
-
-
-def _iter_simplified_lengths(st: SimplifiedTree):
-    stack = [st]
-    while stack:
-        nd = stack.pop()
-        if nd:
-            yield len(nd)
-            stack.extend(nd)
 
 
 @dataclass(frozen=True)

@@ -228,16 +228,21 @@ def subtree_at(t: DecompTree, path: Path) -> DecompTree:
 
 
 def leaf_count(t: DecompTree) -> int:
-    if t.skeleton is None:
-        return 1
-    return sum(leaf_count(c) for c in t.children)
+    return sum(1 for _, sub in iter_nodes(t) if sub.skeleton is None)
 
 
 def max_skeleton_length(t: DecompTree) -> int:
     """Length of the longest skeleton in the tree (1 for a bare leaf)."""
-    if t.skeleton is None:
-        return 1
-    return max(len(t.skeleton), max(max_skeleton_length(c) for c in t.children))
+    longest = 1
+    stack = [t]
+    while stack:
+        sub = stack.pop()
+        skeleton = sub.skeleton
+        if skeleton is not None:
+            if len(skeleton) > longest:
+                longest = len(skeleton)
+            stack.extend(sub.children)
+    return longest
 
 
 def in_closure(p: Permutation, k: int) -> bool:
@@ -280,28 +285,34 @@ def binary_right_chains(t: DecompTree) -> ChainPartition:
     """
     chains: list[tuple[Path, ...]] = []
     skeletons: list[tuple[Permutation, ...]] = []
-
-    def walk(sub: DecompTree, path: Path, under_chain: bool) -> None:
-        if sub.skeleton is None:
-            return
-        binary = sub.skeleton in _BINARY
-        if binary and not under_chain:
-            chain: list[Path] = []
-            labels: list[Permutation] = []
-            cur, cpath = sub, path
-            while cur.skeleton in _BINARY:
-                chain.append(cpath)
-                labels.append(cur.skeleton)
-                nxt = cur.children[-1]
-                cpath = cpath + (len(cur.children) - 1,)
-                cur = nxt
-            chains.append(tuple(chain))
-            skeletons.append(tuple(labels))
-        last = len(sub.children) - 1
-        for i, c in enumerate(sub.children):
-            walk(c, path + (i,), binary and i == last)
-
-    walk(t, (), False)
+    # Internal nodes to visit, popped in preorder.  A chain head follows its
+    # chain at once and queues the left children it passed, then its end.
+    stack: list[tuple[Path, DecompTree]] = [((), t)]
+    while stack:
+        path, sub = stack.pop()
+        skeleton = sub.skeleton
+        if skeleton not in _BINARY:
+            children = sub.children
+            for i in range(len(children) - 1, -1, -1):
+                if children[i].skeleton is not None:
+                    stack.append((path + (i,), children[i]))
+            continue
+        chain: list[Path] = []
+        labels: list[Permutation] = []
+        rest: list[tuple[Path, DecompTree]] = []
+        while skeleton in _BINARY:
+            chain.append(path)
+            labels.append(skeleton)
+            left, sub = sub.children
+            if left.skeleton is not None:
+                rest.append((path + (0,), left))
+            path += (1,)
+            skeleton = sub.skeleton
+        chains.append(tuple(chain))
+        skeletons.append(tuple(labels))
+        if skeleton is not None:
+            rest.append((path, sub))
+        stack.extend(reversed(rest))
     return ChainPartition(tuple(chains), tuple(skeletons))
 
 
@@ -340,17 +351,55 @@ def simplify(t: DecompTree) -> SimplifiedTree:
 
     Represented as nested tuples: a leaf is ``()`` and an internal node is the
     tuple of its simplified children, so its label is the tuple's length.
+    One stack walk lists every node before its subtree; a backward pass over
+    that list finds each node's children done, in order, atop ``done``.
     """
-    if t.skeleton is None:
-        return ()
-    return tuple(simplify(c) for c in t.children)
+    order: list[DecompTree] = []
+    stack = [t]
+    while stack:
+        sub = stack.pop()
+        order.append(sub)
+        stack.extend(sub.children)
+    done: list[SimplifiedTree] = []
+    for sub in reversed(order):
+        k = len(sub.children)
+        if k:
+            done[-k:] = [tuple(done[-k:])]
+        else:
+            done.append(())
+    return done[0]
 
 
 def simplified_text(st: SimplifiedTree) -> str:
     """Bracketed text with length labels, e.g. ``4[2[2[.,.],.],...]``."""
     if not st:
         return "."
-    return f"{len(st)}[" + ",".join(simplified_text(c) for c in st) + "]"
+    heads: dict[int, str] = {}
+    parts: list[str] = []
+    append = parts.append
+    stack: list = [st]
+    push, pop = stack.append, stack.pop
+    while stack:
+        item = pop()
+        if item.__class__ is str:
+            append(item)
+            continue
+        k = len(item)
+        head = heads.get(k)
+        if head is None:
+            head = heads[k] = f"{k}["
+        append(head)
+        push("]")
+        for i in range(k - 1, 0, -1):
+            child = item[i]
+            if child:
+                push(child)
+                push(",")
+            else:
+                push(",.")
+        child = item[0]
+        push(child if child else ".")
+    return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -364,11 +413,35 @@ def _skeleton_text(skeleton: tuple[int, ...]) -> str:
 
 
 def tree_text(t: DecompTree) -> str:
-    """Canonical bracketed form, '.' for leaves: ``2413[21[12[.,.],12[.,.]],21[.,.],.,12[.,.]]``."""
-    if t.skeleton is None:
-        return "."
-    inner = ",".join(tree_text(c) for c in t.children)
-    return f"{_skeleton_text(t.skeleton)}[{inner}]"
+    """Canonical bracketed form, '.' for leaves: ``2413[21[12[.,.],12[.,.]],21[.,.],.,12[.,.]]``.
+
+    Written by one stack walk, so a tree of any depth renders.
+    """
+    heads: dict[tuple[int, ...], str] = {}
+    parts: list[str] = []
+    append = parts.append
+    stack: list = [t]
+    push, pop = stack.append, stack.pop
+    while stack:
+        item = pop()
+        if item.__class__ is str:
+            append(item)
+            continue
+        skeleton = item.skeleton
+        if skeleton is None:
+            append(".")
+            continue
+        head = heads.get(skeleton)
+        if head is None:
+            head = heads[skeleton] = _skeleton_text(skeleton) + "["
+        append(head)
+        push("]")
+        children = item.children
+        for i in range(len(children) - 1, 0, -1):
+            push(children[i])
+            push(",")
+        push(children[0])
+    return "".join(parts)
 
 
 def tree_json(t: DecompTree) -> dict:

@@ -350,15 +350,6 @@ def test_main_serves_requests_back_to_back_like_fresh_processes(capsys):
         assert out == proc.stdout, argv
 
 
-def test_threads_default_is_read_on_every_call(monkeypatch):
-    seen = []
-    monkeypatch.setattr(cli, "cmd_stats", lambda args: seen.append(args.threads) or 0)
-    for value in ("3", "5"):
-        monkeypatch.setenv("GAMMALAB_THREADS", value)
-        assert cli.main(["stats", "2413"]) == 0
-    assert seen == [3, 5]
-
-
 JSON_SCALARS = (
     st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\u00e9\U0001f600'))
     | st.integers() | st.integers(min_value=-10 ** 60, max_value=10 ** 60)
@@ -467,6 +458,28 @@ def stack_depth():
     return depth
 
 
+def test_stats_and_decompose_answer_deep_monotone_inputs():
+    # 599 nested sums or skew sums: the renderers walk the tree without
+    # recursion.  (Text and csv read the JSON back with json.loads, whose
+    # nesting limit they still meet at this depth.)
+    n = 600
+    for perm, label in ((range(1, n + 1), "12"), (range(n, 0, -1), "21")):
+        text = " ".join(map(str, perm))
+        stats = run_json("stats", text)
+        assert stats["n"] == n and stats["in_closure_2"] is True
+        proc = run_cli("decompose", text, "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(limit + 4 * n)  # tree_json nests two levels per node
+        try:
+            data = json.loads(proc.stdout)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert data["tree"] == f"{label}[" * (n - 1) + "." + ",.]" * (n - 1)
+        assert data["simplified"] == "2[" * (n - 1) + "." + ",.]" * (n - 1)
+        assert data["odd_chain_count"] == n - 1
+
+
 def test_tree_json_text_writes_a_deep_chain_without_recursion():
     sigma = trees.decompose((4, 5, 2, 3, 9, 8, 1, 6, 7))
     assert plain_tree_json(sigma) == trees.tree_json(sigma)
@@ -491,11 +504,3 @@ def test_tree_json_text_writes_a_deep_chain_without_recursion():
         for _ in range(depth):
             wrapped, expected = [wrapped], [expected]
         assert cli._json_text(wrapped) == cli._json_text(expected), depth
-
-
-def test_threads_env_fallback():
-    data1 = run_json("poly", "--target", "eulerian", "--n", "6")
-    proc = run_cli("poly", "--target", "eulerian", "--n", "6", "--format", "json",
-                   env_extra={"GAMMALAB_THREADS": "2"})
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout) == data1
