@@ -350,6 +350,17 @@ def test_main_serves_requests_back_to_back_like_fresh_processes(capsys):
         assert out == proc.stdout, argv
 
 
+def test_threads_defaults_to_zero_whatever_the_environment(monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "cmd_stats", lambda args: seen.append(args.threads) or 0)
+    monkeypatch.delenv("GAMMALAB_THREADS", raising=False)
+    assert cli.main(["stats", "2413"]) == 0
+    monkeypatch.setenv("GAMMALAB_THREADS", "3")
+    assert cli.main(["stats", "2413"]) == 0
+    assert cli.main(["stats", "2413", "--threads", "5"]) == 0
+    assert seen == [0, 0, 5]
+
+
 JSON_SCALARS = (
     st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\u00e9\U0001f600'))
     | st.integers() | st.integers(min_value=-10 ** 60, max_value=10 ** 60)
