@@ -24,6 +24,7 @@ import functools
 import json
 import sys
 from json.encoder import encode_basestring_ascii
+from typing import Any, Callable
 
 from . import orbits, series, trees
 from .errors import ParseError, ResourceBoundError
@@ -42,22 +43,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
-
-# Full-S_n enumeration above this length must be acknowledged with --long-run.
-LONG_RUN_THRESHOLD = 10
-
-# The --method values each poly target and verify suite accepts; the first is the default.
-METHODS = {
-    "eulerian": ("enumerate", "rsk"),
-    "simple": ("inversion", "enumerate"),
-    "separable": ("trees",),
-    "h5": ("trees",),
-    "conjecture": ("inversion", "enumerate"),
-    "reduction": ("enumerate",),
-    "system": ("rsk",),
-    "lemma39": ("trees",),
-}
-
 
 def _bounded_int(low: int):
     def parse(text: str) -> int:
@@ -83,6 +68,11 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                              "0 (the default) = one per core")
 
 
+def _methods_help(table: dict[str, dict[str, Route]]) -> str:
+    return "; ".join(f"{quantity}: {'|'.join(routes)}" for quantity, routes in table.items()) \
+        + " (the first is the default)"
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: ``parse_args`` keeps no
@@ -102,21 +92,17 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_dec)
 
     p_poly = sub.add_parser("poly", help="distribution polynomial and gamma expansion")
-    p_poly.add_argument("--target", required=True,
-                        choices=["eulerian", "simple", "separable", "h5"])
+    p_poly.add_argument("--target", required=True, choices=list(ROUTES["poly"]))
     p_poly.add_argument("--n", type=_positive, required=True)
-    p_poly.add_argument("--method", default=None,
-                        help="eulerian: enumerate|rsk; simple: enumerate|inversion")
+    p_poly.add_argument("--method", default=None, help=_methods_help(ROUTES["poly"]))
     p_poly.add_argument("--long-run", action="store_true",
                         help="acknowledge full-enumeration runs past n = 10")
     _add_common(p_poly)
 
     p_ver = sub.add_parser("verify", help="exhaustive verification suites")
-    p_ver.add_argument("--suite", required=True,
-                       choices=["conjecture", "reduction", "system", "lemma39"])
+    p_ver.add_argument("--suite", required=True, choices=list(ROUTES["verify"]))
     p_ver.add_argument("--max-n", type=_positive, default=10)
-    p_ver.add_argument("--method", default=None,
-                       help="conjecture: inversion (default) or enumerate")
+    p_ver.add_argument("--method", default=None, help=_methods_help(ROUTES["verify"]))
     p_ver.add_argument("--long-run", action="store_true")
     _add_common(p_ver)
 
@@ -491,52 +477,135 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _check_enum_bound(n: int, long_run: bool, cheaper: str) -> None:
-    if n > MAX_ENUMERATION_N:
-        raise ResourceBoundError(
-            f"n = {n} exceeds the hard enumeration cap {MAX_ENUMERATION_N}; use {cheaper}"
-        )
-    if n > LONG_RUN_THRESHOLD and not long_run:
-        raise ResourceBoundError(
-            f"full enumeration at n = {n} needs --long-run; cheaper: {cheaper}"
-        )
+class Route:
+    """One way to compute a poly target's polynomial, or a verify suite's
+    ``(ok, results)`` up to ``--max-n``: ``run(n, args)``.  Past ``cap`` it
+    refuses n, and past ``long_run`` (None: nowhere) it needs --long-run."""
+    __slots__ = ("run", "cap", "long_run")
+
+    def __init__(self, run: Callable[[int, argparse.Namespace], Any], cap: int,
+                 long_run: int | None):
+        self.run, self.cap, self.long_run = run, cap, long_run
+
+    def admits(self, n: int, long_run: bool = False) -> bool:
+        return n <= self.cap and (long_run or self.long_run is None or n <= self.long_run)
 
 
-def _method(args: argparse.Namespace) -> str:
-    """The --method value, or the default, checked against METHODS."""
-    key = args.target if args.command == "poly" else args.suite
-    allowed = METHODS[key]
-    method = args.method or allowed[0]
-    if method not in allowed:
-        raise ParseError(f"--method {method!r} is not available for {key}; "
-                         f"choose from {', '.join(allowed)}")
-    return method
+def _simple_by_inversion(n: int, args: argparse.Namespace) -> BivarPoly:
+    return series.simple_series(n, method="inversion").coeff(n) if n >= 4 else BivarPoly()
+
+
+def _simple_by_enumeration(n: int, args: argparse.Namespace) -> BivarPoly:
+    return simple_distribution(n, threads=args.threads).poly if n >= 4 else BivarPoly()
+
+
+def _conjecture(max_n: int, args: argparse.Namespace, method: str) -> tuple[bool, list]:
+    S = series.simple_series(max(max_n, 4), method=method, threads=args.threads)
+    results = []
+    for n in range(4, max_n + 1):
+        expansion = gamma_expand_bivariate(S.coeff(n), n - 1)
+        results.append({"n": n, "positive": expansion.is_positive(), "gamma": expansion.json_form()})
+    return all(r["positive"] for r in results), results
+
+
+def _reduction(max_n: int, args: argparse.Namespace) -> tuple[bool, list]:
+    results = []
+    for n in range(1, max_n + 1):
+        report = orbits.verify_reduction(n)
+        results.append({"n": n, "groups": report.group_count, "pass": report.ok,
+                        "failures": list(report.failures)})
+    return all(r["pass"] for r in results), results
+
+
+def _system(max_n: int, args: argparse.Namespace) -> tuple[bool, list]:
+    report = series.verify_system_identities(max_n)
+    return report.ok, [{"check": name, "pass": passed} for name, passed in report.checks]
+
+
+def _lemma39(max_n: int, args: argparse.Namespace) -> tuple[bool, list]:
+    results = []
+    for report in orbits.closure_class_reports(max_n):
+        expansion = report.expansion
+        results.append({
+            "n": report.n,
+            "classes": [{"minimal": rec.minimal_text, "size": rec.size,
+                         "i": rec.signature.gamma_i, "j": rec.signature.gamma_j}
+                        for rec in report.classes],
+            "polynomial": _poly_payload(report.total),
+            "gamma": None if expansion is None else expansion.json_form(),
+            "positive": expansion is not None and expansion.is_positive(),
+            "pass": report.ok,
+            "failures": list(report.failures),
+        })
+    return all(r["pass"] for r in results), results
+
+
+# Every route of every poly target and verify suite: command -> quantity ->
+# method -> Route; a quantity's first method is its default.  Each row finds
+# its library function by name (a module attribute or a cli global) when it
+# runs, so a wrapper installed on that name sees the CLI's calls too.  The
+# rows that enumerate S_n, or the closure classes, need --long-run past 10.
+ROUTES: dict[str, dict[str, dict[str, Route]]] = {
+    "poly": {
+        "eulerian": {
+            "enumerate": Route(lambda n, args: eulerian_distribution(n).poly,
+                               MAX_ENUMERATION_N, 10),
+            "rsk": Route(lambda n, args: series.rsk_two_sided_eulerian(n), series.MAX_RSK_N, None),
+        },
+        "simple": {
+            "inversion": Route(_simple_by_inversion, series.MAX_RSK_N, None),
+            "enumerate": Route(_simple_by_enumeration, MAX_ENUMERATION_N, 10),
+        },
+        "separable": {"trees": Route(lambda n, args: orbits.closure_distribution(n, 2),
+                                     MAX_ENUMERATION_N, 10)},
+        "h5": {"trees": Route(lambda n, args: orbits.closure_distribution(n, 5),
+                              MAX_ENUMERATION_N, 10)},
+    },
+    "verify": {
+        "conjecture": {
+            "inversion": Route(lambda n, args: _conjecture(n, args, "inversion"),
+                               series.MAX_RSK_N, None),
+            "enumerate": Route(lambda n, args: _conjecture(n, args, "enumerate"),
+                               MAX_ENUMERATION_N, 10),
+        },
+        "reduction": {"enumerate": Route(_reduction, MAX_ENUMERATION_N, 10)},
+        "system": {"rsk": Route(_system, series.MAX_RSK_N, None)},
+        "lemma39": {"trees": Route(_lemma39, orbits.MAX_CLOSURE_TREE_N, 10)},
+    },
+}
+
+
+def _route(args: argparse.Namespace, n: int) -> tuple[str, Route]:
+    """The --method value, or the default, and its route, checked against
+    ``ROUTES``: an unknown method is a usage error, and an n past the route's
+    cap, or past its long-run threshold without --long-run, a resource bound
+    whose hint names the other methods that would run n without --long-run."""
+    quantity = args.target if args.command == "poly" else args.suite
+    routes = ROUTES[args.command][quantity]
+    method = args.method or next(iter(routes))
+    route = routes.get(method)
+    if route is None:
+        raise ParseError(f"--method {method!r} is not available for {quantity}; "
+                         f"choose from {', '.join(routes)}")
+    if route.admits(n, args.long_run):
+        return method, route
+    flag = "--n" if args.command == "poly" else "--max-n"
+    hint = " or ".join(f"--method {other}" for other, r in routes.items()
+                       if other != method and r.admits(n)) or f"a smaller {flag}"
+    if n > route.cap:
+        raise ResourceBoundError(f"{flag} {n} is past the cap {route.cap} of {quantity} "
+                                 f"--method {method}; use {hint}")
+    raise ResourceBoundError(f"{flag} {n} is past {route.long_run} for {quantity} "
+                             f"--method {method}, so it needs --long-run; cheaper: {hint}")
 
 
 def cmd_poly(args: argparse.Namespace) -> int:
     n = args.n
-    target = args.target
-    method = _method(args)
-    if target == "eulerian":
-        if method == "enumerate":
-            _check_enum_bound(n, args.long_run, "--method rsk")
-            poly = eulerian_distribution(n).poly
-        else:
-            poly = series.rsk_two_sided_eulerian(n)
-    elif target == "simple":
-        if method == "enumerate":
-            _check_enum_bound(n, args.long_run, "--method inversion")
-            poly = simple_distribution(n, threads=args.threads).poly if n >= 4 else BivarPoly()
-        elif n < 4:
-            poly = BivarPoly()
-        else:
-            poly = series.simple_series(n, method="inversion").coeff(n)
-    else:  # separable, h5
-        _check_enum_bound(n, args.long_run, "a smaller --n")
-        poly = orbits.closure_distribution(n, 2 if target == "separable" else 5)
+    method, route = _route(args, n)
+    poly = route.run(n, args)
     expansion = gamma_expand_bivariate(poly, n - 1)
     payload = {
-        "target": target,
+        "target": args.target,
         "n": n,
         "method": method,
         "polynomial": _poly_payload(poly),
@@ -548,65 +617,9 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    suite = args.suite
-    max_n = args.max_n
-    method = _method(args)
-    results: list[dict] = []
-    ok = True
-    if suite == "conjecture":
-        if method == "enumerate":
-            _check_enum_bound(max_n, args.long_run, "--method inversion")
-        S = series.simple_series(max(max_n, 4), method=method, threads=args.threads)
-        for n in range(4, max_n + 1):
-            expansion = gamma_expand_bivariate(S.coeff(n), n - 1)
-            positive = expansion.is_positive()
-            ok = ok and positive
-            results.append({
-                "n": n,
-                "positive": positive,
-                "gamma": expansion.json_form(),
-            })
-    elif suite == "reduction":
-        _check_enum_bound(max_n, args.long_run, "a smaller --max-n")
-        for n in range(1, max_n + 1):
-            report = orbits.verify_reduction(n)
-            passed = report.ok
-            ok = ok and passed
-            results.append({
-                "n": n,
-                "groups": report.group_count,
-                "pass": passed,
-                "failures": list(report.failures),
-            })
-    elif suite == "system":
-        report = series.verify_system_identities(max_n)
-        ok = report.ok
-        results = [{"check": name, "pass": passed} for name, passed in report.checks]
-    else:  # lemma39
-        _check_enum_bound(max_n, args.long_run, "a smaller --max-n")
-        for report in orbits.closure_class_reports(max_n):
-            expansion = report.expansion
-            passed = report.ok
-            ok = ok and passed
-            results.append({
-                "n": report.n,
-                "classes": [
-                    {
-                        "minimal": rec.minimal_text,
-                        "size": rec.size,
-                        "i": rec.signature.gamma_i,
-                        "j": rec.signature.gamma_j,
-                    }
-                    for rec in report.classes
-                ],
-                "polynomial": _poly_payload(report.total),
-                "gamma": None if expansion is None else expansion.json_form(),
-                "positive": expansion is not None and expansion.is_positive(),
-                "pass": passed,
-                "failures": list(report.failures),
-            })
-    payload = {"suite": suite, "ok": ok, "results": results}
-    _emit(payload, args)
+    _, route = _route(args, args.max_n)
+    ok, results = route.run(args.max_n, args)
+    _emit({"suite": args.suite, "ok": ok, "results": results}, args)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 

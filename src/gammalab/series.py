@@ -30,11 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InversionError, ResourceBoundError
-from .permutations import (
-    MAX_ENUMERATION_N,
-    eulerian_distribution,
-    simple_distribution,
-)
+from .permutations import MAX_ENUMERATION_N, simple_distribution
 from .polys import ONE, ST, ZERO, BivarPoly, is_palindromic_bivariate
 
 # The tableau route is one growth-chain walk over (shape, row of the last box)
@@ -237,19 +233,9 @@ def rsk_two_sided_eulerian(n: int) -> BivarPoly:
     return _sum_of_squares(_tableau_descent_vectors(n)[-1])
 
 
-def eulerian_series(N: int, method: str = "rsk") -> PowerSeries:
-    """F(x) with coefficient A_n(s,t) at x^n, by either route."""
-    if method == "rsk":
-        coeffs = [ZERO] + [_sum_of_squares(v) for v in _tableau_descent_vectors(N)]
-    elif method == "enumerate":
-        if N > MAX_ENUMERATION_N:
-            raise ResourceBoundError(
-                f"full enumeration is bounded at order {MAX_ENUMERATION_N}; use method='rsk'"
-            )
-        coeffs = [ZERO] + [eulerian_distribution(n).poly for n in range(1, N + 1)]
-    else:
-        raise ValueError(f"unknown method {method!r} (expected 'rsk' or 'enumerate')")
-    return PowerSeries(N, coeffs)
+def eulerian_series(N: int) -> PowerSeries:
+    """F(x) with coefficient A_n(s,t) at x^n, by the tableau route."""
+    return PowerSeries(N, [ZERO] + [_sum_of_squares(v) for v in _tableau_descent_vectors(N)])
 
 
 # ---------------------------------------------------------------------------

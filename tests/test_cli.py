@@ -3,6 +3,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -163,6 +164,71 @@ def test_poly_resource_exit_code():
     assert proc.returncode == 3
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:") and "11" in proc.stderr
+
+
+ROUTE_ROWS = [(command, quantity, method)
+              for command, table in cli.ROUTES.items()
+              for quantity, routes in table.items()
+              for method in routes]
+ROUTE_PAIRS = [(command, quantity, first, second)
+               for command, table in cli.ROUTES.items()
+               for quantity, routes in table.items()
+               for first, second in itertools.combinations(routes, 2)]
+
+
+def route_argv(command, quantity, method, n):
+    if command == "poly":
+        return ["poly", "--target", quantity, "--n", str(n), "--method", method]
+    return ["verify", "--suite", quantity, "--max-n", str(n), "--method", method]
+
+
+def assert_refused(proc, command, quantity, method, n):
+    """Exit 3 with one error line, whose hint names exactly the other methods
+    that run n without --long-run, or a smaller size when none does."""
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    routes = cli.ROUTES[command][quantity]
+    runnable = [m for m, r in routes.items() if m != method and r.admits(n)]
+    hint = proc.stderr.rsplit(";", 1)[1]
+    assert re.findall(r"--method (\w+)", hint) == runnable, proc.stderr
+    if not runnable:
+        assert f"a smaller {'--n' if command == 'poly' else '--max-n'}" in hint
+
+
+@pytest.mark.parametrize("command, quantity, method", ROUTE_ROWS)
+def test_every_route_refuses_past_its_cap_and_its_long_run(command, quantity, method):
+    route = cli.ROUTES[command][quantity][method]
+    n = route.cap + 1
+    start = time.perf_counter()
+    proc = run_cli(*route_argv(command, quantity, method, n), "--long-run")
+    assert time.perf_counter() - start < 10
+    assert_refused(proc, command, quantity, method, n)
+    if route.long_run is not None:
+        n = route.long_run + 1
+        proc = run_cli(*route_argv(command, quantity, method, n))
+        assert_refused(proc, command, quantity, method, n)
+        assert "--long-run" in proc.stderr
+
+
+def test_route_pairs_cover_every_quantity_with_two_routes():
+    assert {quantity for _, quantity, _, _ in ROUTE_PAIRS} == {"eulerian", "simple", "conjecture"}
+
+
+@pytest.mark.parametrize("command, quantity, first, second", ROUTE_PAIRS)
+def test_the_routes_of_a_quantity_agree(command, quantity, first, second, capsys):
+    routes = cli.ROUTES[command][quantity]
+    sizes = [n for n in range(1, 9) if routes[first].admits(n) and routes[second].admits(n)]
+    assert sizes
+    for n in sizes:
+        payloads = []
+        for method in (first, second):
+            argv = route_argv(command, quantity, method, n) + ["--format", "json", "--threads", "1"]
+            assert cli.main(argv) == cli.EXIT_OK
+            payload = json.loads(capsys.readouterr().out)
+            payload.pop("method", None)
+            payloads.append(payload)
+        assert payloads[0] == payloads[1], (quantity, n)
 
 
 def test_parse_error_exit_code():

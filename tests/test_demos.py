@@ -1,4 +1,5 @@
-"""Every walkthrough in demos/ runs to the end without an exception."""
+"""Every walkthrough in demos/ runs to the end without an exception, and
+prints the same bytes each time."""
 import glob
 import os
 import subprocess
@@ -18,9 +19,13 @@ def test_demos_found():
 def test_demo_runs(path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(PKG_ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, path], capture_output=True, text=True, env=env, cwd=PKG_ROOT,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stdout
+    outputs = []
+    for _ in range(2):
+        proc = subprocess.run(
+            [sys.executable, path], capture_output=True, text=True, env=env, cwd=PKG_ROOT,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

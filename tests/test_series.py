@@ -153,7 +153,7 @@ def test_functional_inverse_roundtrip_eulerian():
 # ---------------------------------------------------------------------------
 
 def test_eulerian_series_low_coefficients():
-    F = eulerian_series(4, method="enumerate")
+    F = eulerian_series(4)
     assert F.coeff(1) == ONE
     assert F.coeff(2) == BivarPoly({(0, 0): 1, (1, 1): 1})
     assert F.coeff(3) == BivarPoly({(0, 0): 1, (1, 1): 4, (2, 2): 1})
@@ -214,16 +214,15 @@ def test_tableau_walk_matches_hook_content_formula():
 
 
 def test_methods_agree():
-    assert eulerian_series(6, method="rsk") == eulerian_series(6, method="enumerate")
+    F = eulerian_series(6)
+    assert [F.coeff(n) for n in range(1, 7)] == [eulerian_distribution(n).poly for n in range(1, 7)]
 
 
 def test_resource_bounds():
     with pytest.raises(ResourceBoundError):
         rsk_two_sided_eulerian(15)
     with pytest.raises(ResourceBoundError):
-        eulerian_series(15, method="rsk")
-    with pytest.raises(ResourceBoundError, match="rsk"):
-        eulerian_series(13, method="enumerate")
+        eulerian_series(15)
     with pytest.raises(ResourceBoundError, match="inversion"):
         simple_series(13, method="enumerate")
 
