@@ -73,6 +73,12 @@ def _methods_help(table: dict[str, dict[str, Route]]) -> str:
         + " (the first is the default)"
 
 
+def _long_run_help(table: dict[str, dict[str, Route]], flag: str) -> str:
+    return "acknowledge a long run, needed by " + ", ".join(
+        f"{quantity}/{method} past {flag} {route.long_run}" for quantity, routes in table.items()
+        for method, route in routes.items() if route.long_run is not None)
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: ``parse_args`` keeps no
@@ -96,14 +102,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--n", type=_positive, required=True)
     p_poly.add_argument("--method", default=None, help=_methods_help(ROUTES["poly"]))
     p_poly.add_argument("--long-run", action="store_true",
-                        help="acknowledge full-enumeration runs past n = 10")
+                        help=_long_run_help(ROUTES["poly"], "--n"))
     _add_common(p_poly)
 
     p_ver = sub.add_parser("verify", help="exhaustive verification suites")
     p_ver.add_argument("--suite", required=True, choices=list(ROUTES["verify"]))
     p_ver.add_argument("--max-n", type=_positive, default=10)
     p_ver.add_argument("--method", default=None, help=_methods_help(ROUTES["verify"]))
-    p_ver.add_argument("--long-run", action="store_true")
+    p_ver.add_argument("--long-run", action="store_true",
+                       help=_long_run_help(ROUTES["verify"], "--max-n"))
     _add_common(p_ver)
 
     return parser

@@ -20,7 +20,7 @@ made from its children's, so the orbits of one size come from those of
 smaller sizes by a DP over normal-form classes (`_class_tallies`): each
 class carries its label, the `tree_text` of its minimal representative,
 the (des, ides) tally of all its members packed in one int
-(`permutations._TallyPacking`, the layout of every (des, ides) tally;
+(`permutations._tally_packing`, the layout of every (des, ides) tally;
 inflation multiplies tallies), and the node counts of its minimal
 representative, from which its signature follows.  At n = 10
 the 85369 classes stand for 909482 trees, and at n = 11 the 424330
@@ -46,7 +46,7 @@ from .errors import ExpansionError, ResourceBoundError, StructureError
 from .permutations import (
     Permutation,
     _check_length,
-    _TallyPacking,
+    _tally_packing,
     des_ides,
     enumerate_permutations,
     enumerate_simple,
@@ -60,6 +60,7 @@ from .polys import (
     ZERO,
     BivarGammaExpansion,
     BivarPoly,
+    Packing,
     gamma_basis_bivariate,
     gamma_expand_bivariate,
 )
@@ -118,7 +119,7 @@ def flip_odd_chain(t: DecompTree, chain_index: int) -> DecompTree:
 
 def length4_nodes(t: DecompTree) -> list[Path]:
     """Paths of nodes labeled 2413 or 3142, in preorder."""
-    return [path for path, sub in iter_nodes(t) if sub.skeleton in _LEN4]
+    return [path for path, sub in iter_nodes(t, leaves=False) if sub.skeleton in _LEN4]
 
 
 def swap_length4_label(t: DecompTree, node_index: int) -> DecompTree:
@@ -146,7 +147,7 @@ def minimal_representative(t: DecompTree) -> DecompTree:
     part = binary_right_chains(t)
     toggle = {path for chain, labels in zip(part.chains, part.skeletons)
               if len(chain) % 2 and labels[0] == _DESC for path in chain}
-    toggle.update(path for path, sub in iter_nodes(t) if sub.skeleton == (3, 1, 4, 2))
+    toggle.update(path for path, sub in iter_nodes(t, leaves=False) if sub.skeleton == (3, 1, 4, 2))
     return _rebuild(t, toggle)
 
 
@@ -176,14 +177,14 @@ class ClassSignature:
 
 
 def signature_of(minimal: DecompTree) -> ClassSignature:
-    """The node counts of ``minimal``: leaves, 21-nodes and length-4/5 nodes
-    from one node walk, odd chains from `binary_right_chains`."""
-    leaves = n21 = n4 = n5 = 0
-    for _, sub in iter_nodes(minimal):
+    """The node counts of ``minimal``: leaves (one more than the children
+    less one of every internal node), 21-nodes and length-4/5 nodes from one
+    walk of the internal nodes, odd chains from `binary_right_chains`."""
+    leaves, n21, n4, n5 = 1, 0, 0, 0
+    for _, sub in iter_nodes(minimal, leaves=False):
         skel = sub.skeleton
-        if skel is None:
-            leaves += 1
-        elif len(skel) == 2:
+        leaves += len(skel) - 1
+        if len(skel) == 2:
             n21 += skel == _DESC
         elif len(skel) == 4:
             n4 += 1
@@ -352,7 +353,7 @@ def _class_tallies(n: int) -> Iterator[dict[str, tuple[int, int]]]:
     builds no ``tails``, and drops the smaller sizes before it is yielded.
     """
     _check_closure_tree_length(n)
-    pack = _TallyPacking(n)
+    pack = _tally_packing(n)
     factors: dict[Permutation, int] = {}  # normal-form skeleton -> packed tally of its skeletons
     for ell in (4, 5):
         for skel in enumerate_simple(ell):
@@ -448,18 +449,18 @@ def closure_class_report(n: int) -> ClosureClassReport:
     """
     for heads in _class_tallies(n):  # run to the top size, keeping no list of the smaller ones
         pass
-    return _class_report(n, heads, _TallyPacking(n))
+    return _class_report(n, heads, _tally_packing(n))
 
 
 def closure_class_reports(max_n: int) -> Iterator[ClosureClassReport]:
     """`closure_class_report` of every size 1..max_n, from one class DP."""
-    pack = _TallyPacking(max_n)
+    pack = _tally_packing(max_n)
     for m, heads in enumerate(_class_tallies(max_n), 1):
         yield _class_report(m, heads, pack)
 
 
 def _class_report(n: int, heads: dict[str, tuple[int, int]],
-                  pack: _TallyPacking) -> ClosureClassReport:
+                  pack: Packing) -> ClosureClassReport:
     failures: list[str] = []
     records: list[ClassRecord] = []
     total = 0
@@ -479,17 +480,17 @@ def _class_report(n: int, heads: dict[str, tuple[int, int]],
         ij = sig.gamma_i, sig.gamma_j
         if ij not in basis:
             element = signature_polynomial(sig)
-            basis[ij] = pack.pack(dict(element.items())), element
+            basis[ij] = pack.pack(element), element
         packed, element = basis[ij]
         if tally == packed:
             dist = element
         else:
-            dist = BivarPoly(pack.unpack(tally))
+            dist = pack.unpack(tally)
             failures.append(f"{label}: distribution is not the expected basis element")
         gamma_counts[ij] += 1
         records.append(ClassRecord(label, size, dist, sig))
         total += tally
-    total_poly = BivarPoly(pack.unpack(total))
+    total_poly = pack.unpack(total)
     if total_poly != closure_distribution(n, 5):
         failures.append("total distribution differs from the closure series coefficient")
     try:
@@ -622,7 +623,7 @@ def _simplified_groups(n: int) -> dict[SimplifiedTree, Counter]:
 
     Complement keeps ``simplify(decompose(p))`` (it swaps 12 with 21 and each
     skeleton with its complement, which has the same length) and maps (d, e)
-    to (n-1-d, n-1-e), the `_TallyPacking` slot reversal.  So only the first
+    to (n-1-d, n-1-e), the `_tally_packing` slot reversal.  So only the first
     values a < n+1-a are walked and each of their (shape, slot) counts is
     added again at the reversed slot; the middle first value of odd n is its
     own mirror and is walked once.

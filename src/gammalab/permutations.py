@@ -16,10 +16,10 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DistributionError, ParseError, ResourceBoundError
-from .polys import BivarPoly
+from .polys import BivarPoly, Packing
 
 Permutation = tuple[int, ...]
 
@@ -400,66 +400,31 @@ def joint_distribution(perms: Iterable[Permutation], n: int | None = None) -> Jo
     return JointDistribution(BivarPoly(counts), n, counts.total())
 
 
-class _TallyPacking:
+def _tally_packing(n: int) -> Packing:
     """The one layout of a (des, ides) tally over permutations of length <= n.
 
-    Slot d*n + e counts the members with (des, ides) = (d, e).  A tally is
-    kept either as a flat list of the n*n slot counts or packed in one int,
-    slot k in bits k*width .. (k+1)*width - 1 with ``width`` =
-    (n!).bit_length() + 1.  As ides < n, the product of two packed tallies
-    is the packed tally of the product set, and as no count reaches
-    n! < 2**width - 1, no slot carries and the tally's digit sum, the tally
-    mod 2**width - 1, is its number of members.  On S_n, complement maps
-    (d, e) to (n-1-d, n-1-e), which is the slot reversal k -> n*n - 1 - k.
+    Slot d*n + e counts the members with (des, ides) = (d, e): the `Packing`
+    with stride n and width (n!).bit_length() + 1.  A tally is kept either as
+    a flat list of the n*n slot counts or packed in one int.  As ides < n,
+    the product of two packed tallies is the packed tally of the product set,
+    and as no tally holds more than n! < 2**(width-1) members, no slot
+    carries and the tally's digit sum, ``size``, is its number of members.  On S_n,
+    complement maps (d, e) to (n-1-d, n-1-e), which is the slot reversal
+    k -> n*n - 1 - k.
 
-    >>> pack = _TallyPacking(3)
-    >>> pack.width
-    4
+    >>> pack = _tally_packing(3)  # width 4
     >>> tally = pack.pack({(0, 1): 2, (2, 0): 5})
-    >>> pack.unpack(tally), pack.size(tally)
-    ({(0, 1): 2, (2, 0): 5}, 7)
     >>> slots = [tally >> 4 * k & 15 for k in range(9)]
     >>> slots
     [0, 2, 0, 0, 0, 0, 5, 0, 0]
-    >>> pack.from_slots(slots[::-1])  # the complements: (d, e) -> (2-d, 2-e)
-    {(0, 2): 5, (2, 1): 2}
+    >>> pack.from_slots(slots[::-1]).text()  # the complements: (d, e) -> (2-d, 2-e)
+    '5*t^2 + 2*s^2*t'
     """
-
-    __slots__ = ("n", "width", "_mask")
-
-    def __init__(self, n: int):
-        self.n = n
-        self.width = math.factorial(n).bit_length() + 1
-        self._mask = (1 << self.width) - 1
-
-    def shift(self, d: int, e: int) -> int:
-        """The bit offset of slot (d, e): a tally times x^d y^e is ``tally << shift``."""
-        return self.width * (d * self.n + e)
-
-    def pack(self, counts: Mapping[tuple[int, int], int]) -> int:
-        return sum(c << self.shift(d, e) for (d, e), c in counts.items())
-
-    def unpack(self, tally: int) -> dict[tuple[int, int], int]:
-        counts = {}
-        slot = 0
-        while tally:
-            c = tally & self._mask
-            if c:
-                counts[divmod(slot, self.n)] = c
-            tally >>= self.width
-            slot += 1
-        return counts
-
-    def size(self, tally: int) -> int:
-        return tally % self._mask
-
-    def from_slots(self, slots: Sequence[int]) -> dict[tuple[int, int], int]:
-        """The (des, ides) -> count map of a flat list of slot counts."""
-        return {divmod(k, self.n): c for k, c in enumerate(slots) if c}
+    return Packing(math.factorial(n).bit_length() + 1, n)
 
 
 def _eulerian_counts(n: int) -> int:
-    """The (des, ides) tally of S_n, packed as in `_TallyPacking(n)`, by a DP
+    """The (des, ides) tally of S_n, packed as in `_tally_packing(n)`, by a DP
     over prefixes.
 
     Appending v after ``last`` adds [last > v] to des and [v - 1 not yet
@@ -470,7 +435,7 @@ def _eulerian_counts(n: int) -> int:
     add.  No permutation is built, and the whole of S_n is counted: nothing
     is mirrored.
     """
-    pack = _TallyPacking(n)
+    pack = _tally_packing(n)
     step_d, step_e = pack.shift(1, 0), pack.shift(0, 1)
     full = (1 << n) - 1
     layer = {1 << (v + 3) | v: 1 << (step_e if v > 1 else 0) for v in range(1, n + 1)}
@@ -502,7 +467,7 @@ def _shard_prefixes(n: int) -> list[Permutation]:
 
 def _tally_simple_shard(args: tuple[int, Permutation]) -> list[int]:
     """The (des, ides) tally of the simple permutations of length n that start
-    with ``prefix``, as a flat list of `_TallyPacking` slot counts (slot
+    with ``prefix``, as a flat list of `_tally_packing` slot counts (slot
     d*n + e), by a depth-first walk over block-free prefixes.
 
     A proper block stays a block in every extension, so a prefix holding one
@@ -589,7 +554,7 @@ POOL_MIN_N = 10
 
 def _simple_counts(n: int, threads: int) -> list[int]:
     """The (des, ides) tally of the simple permutations of length n, as a
-    flat list of `_TallyPacking` slot counts.
+    flat list of `_tally_packing` slot counts.
 
     Complement maps the simple permutations that start with a prefix q onto
     those that start with complement(q), and (d, e) to (n-1-d, n-1-e), the
@@ -633,7 +598,7 @@ def eulerian_distribution(n: int, threads: int = 1) -> JointDistribution:
     """
     _check_length(n)
     dist = JointDistribution(
-        BivarPoly(_TallyPacking(n).unpack(_eulerian_counts(n))), n, math.factorial(n))
+        _tally_packing(n).unpack(_eulerian_counts(n)), n, math.factorial(n))
     dist.check()
     return dist
 
@@ -646,4 +611,4 @@ def simple_distribution(n: int, threads: int = 1) -> JointDistribution:
     """
     _check_length(n)
     counts = _simple_counts(n, threads if n >= POOL_MIN_N else 1)
-    return JointDistribution(BivarPoly(_TallyPacking(n).from_slots(counts)), n, sum(counts))
+    return JointDistribution(_tally_packing(n).from_slots(counts), n, sum(counts))

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import ExpansionError
 
@@ -193,6 +193,79 @@ def _term_body(v: int, p: int, q: int) -> str:
     return "*".join(factors)
 
 
+class Packing:
+    """Kronecker substitution: a polynomial in s and t as one int.
+
+    s^p t^q sits at bit ``width * (p*stride + q)``, so packing evaluates P at
+    t = 2**width, s = 2**(width*stride).  That is a ring map: the sum or
+    product of packed ints is the packed sum or product, and CPython's int
+    multiply does the convolution.  ``unpack`` reads signed digits, so it
+    recovers every P whose t-degree is below ``stride`` and whose
+    coefficients satisfy |c| < 2**(width-1); only the polynomial unpacked has
+    to fit, not the operands on the way to it.  When every coefficient is
+    nonnegative and they sum below 2**width - 1, ``size`` is that sum.
+
+    >>> pack = Packing(8, 3)
+    >>> packed = pack.pack({(0, 1): 2, (2, 0): -5})
+    >>> pack.unpack(packed * packed).text(), pack.size(pack.pack({(0, 1): 2, (2, 0): 5}))
+    ('4*t^2 - 20*s^2*t + 25*s^4', 7)
+    """
+
+    __slots__ = ("width", "stride", "_mask")
+
+    def __init__(self, width: int, stride: int):
+        if width < 2 or stride < 1:  # one bit has no positive signed digit
+            raise ValueError(f"no packing of width {width} and stride {stride}")
+        self.width, self.stride = width, stride
+        self._mask = (1 << width) - 1
+
+    def shift(self, p: int, q: int) -> int:
+        """The bit offset of s^p t^q: a packed P times s^p t^q is ``P << shift``."""
+        return self.width * (p * self.stride + q)
+
+    def pack(self, poly: "BivarPoly | Mapping[Monomial, int]") -> int:
+        w = self.width  # each term shifts within its row, and each row once
+        rows: dict[int, int] = {}
+        for (p, q), c in poly.items():
+            rows[p] = rows.get(p, 0) + (c << w * q)
+        row = w * self.stride
+        return sum(r << row * p for p, r in rows.items())
+
+    def unpack(self, packed: int) -> "BivarPoly":
+        w, mask, row_bits = self.width, self._mask, self.width * self.stride
+        sign, row_mask, row_sign = 1 << (w - 1), (1 << row_bits) - 1, 1 << (row_bits - 1)
+        c: dict[Monomial, int] = {}
+        p = 0
+        while packed:
+            row = packed & row_mask
+            packed >>= row_bits
+            if row & row_sign:  # a negative row, or digit, borrowed one from the next
+                row -= 1 << row_bits
+                packed += 1
+            q = 0
+            while row:
+                v = row & mask
+                row >>= w
+                if v:
+                    if v & sign:
+                        v -= 1 << w
+                        row += 1
+                    c[p, q] = v
+                q += 1
+            p += 1
+        out = BivarPoly()
+        out._c = c
+        return out
+
+    def size(self, packed: int) -> int:
+        """The digit sum: ``packed`` mod 2**width - 1."""
+        return packed % self._mask
+
+    def from_slots(self, slots: Sequence[int]) -> "BivarPoly":
+        """The polynomial of a flat list of slot coefficients (slot p*stride + q)."""
+        return BivarPoly((divmod(k, self.stride), v) for k, v in enumerate(slots) if v)
+
+
 ZERO = BivarPoly()
 ONE = BivarPoly.const(1)
 ST = BivarPoly.monomial(1, 1, 1)
@@ -330,104 +403,57 @@ def _peel_univariate(coeffs: dict[int, int], m: int) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 class UniPoly:
-    """A univariate polynomial in q with exact integer coefficients."""
+    """A univariate polynomial in q with exact integer coefficients.
 
-    __slots__ = ("_c",)
+    It is kept as the `BivarPoly` in s alone, whose arithmetic and text it
+    borrows, so the two types share one implementation.
+    """
+
+    __slots__ = ("_p",)
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] | None = None):
-        c: dict[int, int] = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-            for k, v in items:
-                if k < 0:
-                    raise ValueError("negative degree")
-                if v:
-                    nv = c.get(k, 0) + v
-                    if nv:
-                        c[k] = nv
-                    elif k in c:
-                        del c[k]
-        self._c = c
+        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs or ()
+        self._p = BivarPoly(((k, 0), v) for k, v in items)
+
+    @classmethod
+    def _of(cls, p: BivarPoly) -> "UniPoly":
+        out = cls()
+        out._p = p
+        return out
 
     def coeff(self, k: int) -> int:
-        return self._c.get(k, 0)
+        return self._p.coeff(k, 0)
 
     def items(self) -> Iterator[tuple[int, int]]:
-        return iter(self._c.items())
+        return ((k, v) for (k, _), v in self._p.items())
 
     def terms(self) -> list[tuple[int, int]]:
-        return sorted(self._c.items())
+        return sorted(self.items())
 
     def is_zero(self) -> bool:
-        return not self._c
+        return self._p.is_zero()
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, UniPoly):
-            return self._c == other._c
+            return self._p == other._p
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._c.items()))
+        return hash(self._p)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        c = dict(self._c)
-        for k, v in other._c.items():
-            nv = c.get(k, 0) + v
-            if nv:
-                c[k] = nv
-            elif k in c:
-                del c[k]
-        out = UniPoly()
-        out._c = c
-        return out
+        return UniPoly._of(self._p + other._p)
 
     def __mul__(self, other: "UniPoly | int") -> "UniPoly":
-        if isinstance(other, int):
-            out = UniPoly()
-            if other:
-                out._c = {k: v * other for k, v in self._c.items()}
-            return out
-        c: dict[int, int] = {}
-        for k1, v1 in self._c.items():
-            for k2, v2 in other._c.items():
-                key = k1 + k2
-                nv = c.get(key, 0) + v1 * v2
-                if nv:
-                    c[key] = nv
-                elif key in c:
-                    del c[key]
-        out = UniPoly()
-        out._c = c
-        return out
+        return UniPoly._of(self._p * (other._p if isinstance(other, UniPoly) else other))
 
     __rmul__ = __mul__
 
     def __pow__(self, e: int) -> "UniPoly":
-        result = UniPoly({0: 1})
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+        return UniPoly._of(self._p ** e)
 
     def text(self) -> str:
-        if not self._c:
-            return "0"
-        chunks: list[str] = []
-        for k, v in self.terms():
-            a = abs(v)
-            if k == 0:
-                body = str(a)
-            else:
-                var = "q" if k == 1 else f"q^{k}"
-                body = var if a == 1 else f"{a}*{var}"
-            if not chunks:
-                chunks.append(body if v > 0 else "-" + body)
-            else:
-                chunks.append(("+ " if v > 0 else "- ") + body)
-        return " ".join(chunks)
+        return self._p.text().replace("s", "q")
 
     def __repr__(self) -> str:
         return f"UniPoly({self.text()})"

@@ -24,14 +24,20 @@ inverse match those of the insertion tableau, so A_n(s,t) = sum over shapes
 of D_shape(s) * D_shape(t), where D_shape counts standard Young tableaux by
 descent number.  One growth-chain walk to order N gives D_shape for every
 shape of every size up to N, so the whole Eulerian series costs one walk.
+
+Series products, composition, the geometric inverse and Lagrange inversion
+run on Kronecker-packed ints (`polys.Packing`) in a layout proven for each
+operation; sums and scalar multiples stay on the dict polynomials.
 """
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 
 from .errors import InversionError, ResourceBoundError
 from .permutations import MAX_ENUMERATION_N, simple_distribution
-from .polys import ONE, ST, ZERO, BivarPoly, is_palindromic_bivariate
+from .polys import ONE, ST, ZERO, BivarPoly, Packing, is_palindromic_bivariate
 
 # The tableau route is one growth-chain walk over (shape, row of the last box)
 # states with descent-count vectors, whose states after m boxes serve order m,
@@ -111,43 +117,16 @@ class PowerSeries:
         if isinstance(other, (BivarPoly, int)):
             return PowerSeries(self.order, [a * other for a in self._c])
         self._check_order(other)
-        n = self.order
-        out = [ZERO] * (n + 1)
-        for i, a in enumerate(self._c):
-            if a.is_zero():
-                continue
-            for j in range(0, n + 1 - i):
-                b = other._c[j]
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return PowerSeries(n, out)
+        return PowerSeries(self.order, _packed(_convolve, self._c, other._c))
 
     __rmul__ = __mul__
 
     def compose(self, inner: "PowerSeries") -> "PowerSeries":
-        """Substitute ``inner`` for x; requires inner to have no constant term.
-
-        Sums c_k G^k over the powers of G.  G^k has no terms below x^k, so
-        each power and each scaled power touches only the coefficients that
-        still fit under the truncation order.
-        """
+        """Substitute ``inner`` for x; requires inner to have no constant term."""
         self._check_order(inner)
         if not inner._c[0].is_zero():
             raise ValueError("composition requires a series with zero constant term")
-        N = self.order
-        out = [self._c[0]] + [ZERO] * N
-        power = inner
-        for k in range(1, N + 1):
-            if k > 1:
-                power = power * inner
-            c = self._c[k]
-            if c.is_zero():
-                continue
-            for i in range(k, N + 1):
-                g = power._c[i]
-                if not g.is_zero():
-                    out[i] = out[i] + c * g
-        return PowerSeries(N, out)
+        return PowerSeries(self.order, _packed(_compose, self._c, inner._c))
 
 
 def geometric_inverse(y: PowerSeries) -> PowerSeries:
@@ -155,15 +134,79 @@ def geometric_inverse(y: PowerSeries) -> PowerSeries:
     h_0 = 1, h_n = -sum_{k=1..n} y_k h_(n-k)."""
     if not y.coeff(0).is_zero():
         raise ValueError("geometric expansion requires a series with zero constant term")
-    ys = y.coefficients()
-    h = [ONE]
-    for n in range(1, y.order + 1):
-        acc = ZERO
-        for k in range(1, n + 1):
-            if not ys[k].is_zero():
-                acc = acc + ys[k] * h[n - k]
-        h.append(-acc)
-    return PowerSeries(y.order, h)
+    return PowerSeries(y.order, _packed(_reciprocal, [-c for c in y.coefficients()]))
+
+
+# ---------------------------------------------------------------------------
+# packed series arithmetic
+# ---------------------------------------------------------------------------
+#
+# A kernel runs one series operation on coefficient lists in the ring that
+# ``add`` and ``mul`` give, with unit 1, skipping falsy entries as zero.
+# `_packed` runs it on ints packed in a layout that two cheap runs of the
+# same kernel prove: on the l1 norms (int + and *), which bound every result's
+# coefficients, and on one plus the t-degrees, 0 for zero (max and a + b - 1,
+# the max-plus form), which bound every result's t-degree.
+
+def _dot(xs: list, ys: list, add, mul):
+    acc = 0
+    for x, y in zip(xs, ys):
+        if x and y:
+            acc = add(acc, mul(x, y))
+    return acc
+
+
+def _convolve(a: list, b: list, add, mul) -> list:
+    """The product of two series, truncated at the order of ``a``."""
+    return [_dot(a[:k + 1], b[k::-1], add, mul) for k in range(len(a))]
+
+
+def _compose(c: list, g: list, add, mul) -> list:
+    """c(g(x)) = c_0 + sum_k c_k g^k, for g with no constant term."""
+    out, power = c[:1] + [0] * (len(c) - 1), [1] + [0] * (len(c) - 1)
+    for ck in c[1:]:
+        power = _convolve(power, g, add, mul)
+        if ck:
+            out = [add(o, mul(ck, p)) if p else o for o, p in zip(out, power)]
+    return out
+
+
+def _reciprocal(y: list, add, mul) -> list:
+    """1/(1 - y) for y with no constant term: h_0 = 1, h_n = sum_k y_k h_(n-k)."""
+    h = [1]
+    for n in range(1, len(y)):
+        h.append(_dot(y[1:n + 1], h[::-1], add, mul))
+    return h
+
+
+def _lagrange(y: list, add, mul) -> list:
+    """[x^(n-1)] H^n for n = 1..len(y), with H = 1/(1 - y): the numerators
+    of Lagrange inversion.  With k about sqrt(len(y)) and n = b*k + a, each
+    is a dot product of H^(b*k) and H^a (a < k), so only about 2k powers
+    are multiplied out."""
+    h = _reciprocal(y, add, mul)
+    k = math.isqrt(len(h)) + 1
+    small = [[1] + [0] * (len(h) - 1)]
+    for _ in range(k):
+        small.append(_convolve(small[-1], h, add, mul))
+    big, out = small[0], []
+    for n in range(1, len(h) + 1):
+        if not n % k:
+            big = _convolve(big, small[k], add, mul)
+        out.append(_dot(big[:n], small[n % k][n - 1::-1], add, mul))
+    return out
+
+
+def _packed(kernel, *operands: list[BivarPoly]) -> list[BivarPoly]:
+    """``kernel`` on packed ints: each operand coefficient is packed once and
+    each result unpacked once."""
+    def run(convert, add=operator.add, mul=operator.mul):
+        return kernel(*[[convert(c) for c in op] for op in operands], add, mul)
+    bound = max(run(lambda c: sum(abs(v) for _, v in c.items())))
+    stride = max(run(lambda c: max((q + 1 for (_, q), _ in c.items()), default=0),
+                     max, lambda a, b: a + b - 1))
+    layout = Packing((bound.bit_length() or 1) + 1, stride or 1)
+    return [layout.unpack(v) for v in run(layout.pack)]
 
 
 # ---------------------------------------------------------------------------
@@ -183,21 +226,21 @@ def _tableau_descent_vectors(N: int) -> list[dict[tuple[int, ...], tuple[int, ..
         raise ValueError("n must be at least 1")
     if N > MAX_RSK_N:
         raise ResourceBoundError(f"tableau route is bounded at n = {MAX_RSK_N}")
-    states: dict[tuple[tuple[int, ...], int], dict[int, int]] = {((1,), 0): {0: 1}}
+    # Each state's descent counts are one int, count d at bit w*d: a tally of
+    # at most N! tableaux, so no digit carries, and a descent is one shift.
+    w = math.factorial(N).bit_length() + 1
+    mask = (1 << w) - 1
+    states: dict[tuple[tuple[int, ...], int], int] = {((1,), 0): 1}
     sizes = []
     while True:
-        by_shape: dict[tuple[int, ...], dict[int, int]] = {}
+        by_shape: dict[tuple[int, ...], int] = {}
         for (shape, _), vec in states.items():
-            target = by_shape.setdefault(shape, {})
-            for d, c in vec.items():
-                target[d] = target.get(d, 0) + c
-        sizes.append({
-            shape: tuple(vec.get(d, 0) for d in range(max(vec) + 1))
-            for shape, vec in by_shape.items()
-        })
+            by_shape[shape] = by_shape.get(shape, 0) + vec
+        sizes.append({shape: tuple(vec >> w * d & mask for d in range(-(-vec.bit_length() // w)))
+                      for shape, vec in by_shape.items()})
         if len(sizes) == N:
             return sizes
-        nxt: dict[tuple[tuple[int, ...], int], dict[int, int]] = {}
+        nxt: dict[tuple[tuple[int, ...], int], int] = {}
         for (shape, row), vec in states.items():
             rows = len(shape)
             for r in range(rows + 1):
@@ -207,21 +250,21 @@ def _tableau_descent_vectors(N: int) -> list[dict[tuple[int, ...], tuple[int, ..
                     nshape = shape[:r] + (shape[r] + 1,) + shape[r + 1:]
                 else:
                     nshape = shape + (1,)
-                bump = 1 if r > row else 0
-                target = nxt.setdefault((nshape, r), {})
-                for d, c in vec.items():
-                    target[d + bump] = target.get(d + bump, 0) + c
+                nxt[nshape, r] = nxt.get((nshape, r), 0) + (vec << w if r > row else vec)
         states = nxt
 
 
 def _sum_of_squares(vectors: dict[tuple[int, ...], tuple[int, ...]]) -> BivarPoly:
-    """The sum over shapes of D_shape(s) * D_shape(t)."""
-    return BivarPoly(
-        ((a, b), ca * cb)
-        for vec in vectors.values()
-        for a, ca in enumerate(vec)
-        for b, cb in enumerate(vec)
-    )
+    """The sum over shapes of D_shape(s) * D_shape(t), each a product of two
+    packed one-variable polynomials.  The sum has nonnegative coefficients,
+    so its l1 norm, the sum over shapes of D_shape(1)^2, bounds them."""
+    bound = sum(sum(vec) ** 2 for vec in vectors.values())
+    layout = Packing(bound.bit_length() + 1, max(map(len, vectors.values())))
+    total = 0
+    for vec in vectors.values():
+        total += (sum(c << layout.shift(a, 0) for a, c in enumerate(vec))
+                  * sum(c << layout.shift(0, b) for b, c in enumerate(vec)))
+    return layout.unpack(total)
 
 
 def rsk_two_sided_eulerian(n: int) -> BivarPoly:
@@ -253,20 +296,12 @@ def functional_inverse(F: PowerSeries) -> PowerSeries:
         raise InversionError("series has a nonzero constant term")
     if F.coeff(1) != ONE:
         raise InversionError("leading coefficient must be exactly 1")
-    N = F.order
-    if N == 1:
-        return PowerSeries.x(1)
-    H = geometric_inverse(PowerSeries(N - 1, [ZERO] + F.coefficients()[2:]))
-    P = H
-    coeffs = [ZERO, ONE]
-    for n in range(2, N + 1):
-        P = P * H
-        coeffs.append(_exact_quotient(P.coeff(n - 1), n))
-    return PowerSeries(N, coeffs)
+    numerators = _packed(_lagrange, [ZERO] + [-c for c in F.coefficients()[2:]])
+    return PowerSeries(F.order, [ZERO] + [_exact_quotient(g, n) for n, g in enumerate(numerators, 1)])
 
 
 def _exact_quotient(P: BivarPoly, n: int) -> BivarPoly:
-    """P / n over Z[s,t]; a nonzero remainder means G left the polynomial ring."""
+    """P / n over Z[s,t], coefficient by coefficient; a remainder means G left the ring."""
     quotient = {}
     for key, v in P.items():
         q, r = divmod(v, n)

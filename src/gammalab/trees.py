@@ -211,14 +211,17 @@ def tree_des_ides(t: DecompTree) -> tuple[int, int]:
 # traversal
 # ---------------------------------------------------------------------------
 
-def iter_nodes(t: DecompTree) -> Iterator[tuple[Path, DecompTree]]:
-    """All subtrees in preorder, keyed by path from the root."""
-    stack: list[tuple[Path, DecompTree]] = [((), t)]
+def iter_nodes(t: DecompTree, leaves: bool = True) -> Iterator[tuple[Path, DecompTree]]:
+    """All subtrees in preorder, keyed by path from the root; with
+    ``leaves=False`` only the internal ones, and no path is built for a leaf."""
+    stack: list[tuple[Path, DecompTree]] = [((), t)] if leaves or t.skeleton is not None else []
     while stack:
         path, sub = stack.pop()
         yield path, sub
-        for i in range(len(sub.children) - 1, -1, -1):
-            stack.append((path + (i,), sub.children[i]))
+        children = sub.children
+        for i in range(len(children) - 1, -1, -1):
+            if leaves or children[i].skeleton is not None:
+                stack.append((path + (i,), children[i]))
 
 
 def subtree_at(t: DecompTree, path: Path) -> DecompTree:

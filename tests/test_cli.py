@@ -211,6 +211,20 @@ def test_every_route_refuses_past_its_cap_and_its_long_run(command, quantity, me
         assert "--long-run" in proc.stderr
 
 
+@pytest.mark.parametrize("command", ["poly", "verify"])
+def test_long_run_help_names_exactly_the_routes_that_need_it(command, capsys):
+    with pytest.raises(SystemExit):
+        cli.main([command, "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    flag = "--n" if command == "poly" else "--max-n"
+    named = re.findall(rf"(\w+)/(\w+) past {flag} (\d+)", text)
+    expected = [(quantity, method, str(route.long_run))
+                for quantity, routes in cli.ROUTES[command].items()
+                for method, route in routes.items() if route.long_run is not None]
+    assert named == expected and len(expected) >= 3
+    assert "full-enumeration" not in text
+
+
 def test_route_pairs_cover_every_quantity_with_two_routes():
     assert {quantity for _, quantity, _, _ in ROUTE_PAIRS} == {"eulerian", "simple", "conjecture"}
 
@@ -340,14 +354,14 @@ def test_lemma39_fails_when_a_class_is_wrong(monkeypatch, capsys):
     wrong, short = sorted(top)[:2]
 
     def broken(n):
-        pack = orbits._TallyPacking(n)
+        pack = orbits._tally_packing(n)
         for m, classes in enumerate(real(n), 1):
             if m == 4:
                 classes = dict(classes)
                 tally, counts = classes[wrong]
                 classes[wrong] = tally << pack.shift(1, 0), counts
                 tally, counts = classes[short]
-                member = 1 << pack.shift(*min(pack.unpack(tally)))
+                member = 1 << pack.shift(*min(key for key, _ in pack.unpack(tally).items()))
                 classes[short] = tally - member, counts
             yield classes
 

@@ -10,7 +10,7 @@ from gammalab import orbits
 from gammalab.errors import ResourceBoundError, StructureError
 from gammalab.orbits import (
     _simplified_groups,
-    _TallyPacking,
+    _tally_packing,
     class_polynomial,
     closure_class_report,
     closure_class_reports,
@@ -329,21 +329,22 @@ def test_one_class_sweep_matches_the_reports_of_each_size():
 
 def test_tally_packing_at_the_widest_size():
     n = 11
-    pack = _TallyPacking(n)
-    assert pack.width == math.factorial(n).bit_length() + 1
-    counts = {(0, 0): 1, (3, 7): 12345, (n - 1, 0): 2, (0, n - 1): 5, (n - 1, n - 1): 1}
+    pack = _tally_packing(n)
+    assert (pack.width, pack.stride) == (math.factorial(n).bit_length() + 1, n)
+    counts = BivarPoly({(0, 0): 1, (3, 7): 12345, (n - 1, 0): 2, (0, n - 1): 5, (n - 1, n - 1): 1})
     tally = pack.pack(counts)
     assert pack.unpack(tally) == counts
-    assert pack.size(tally) == sum(counts.values())
+    assert pack.size(tally) == counts.evaluate_at_one()
     # x^d y^e times a tally is a shift, landing on the top slot.
-    assert pack.unpack(1 << pack.shift(n - 1, n - 1)) == {(n - 1, n - 1): 1}
-    assert pack.unpack(pack.pack({(0, 0): 3}) << pack.shift(n - 1, n - 1)) == {(n - 1, n - 1): 3}
+    top = BivarPoly.monomial(1, n - 1, n - 1)
+    assert pack.unpack(1 << pack.shift(n - 1, n - 1)) == top
+    assert pack.unpack(pack.pack({(0, 0): 3}) << pack.shift(n - 1, n - 1)) == top * 3
     # The digit sum stays exact up to a total of n!.
-    big = {(0, 0): 1, (5, 5): 999, (n - 1, n - 1): math.factorial(n) - 1000}
+    big = BivarPoly({(0, 0): 1, (5, 5): 999, (n - 1, n - 1): math.factorial(n) - 1000})
     assert pack.size(pack.pack(big)) == math.factorial(n)
     assert pack.unpack(pack.pack(big)) == big
     assert pack.pack({}) == 0
-    assert pack.unpack(0) == {}
+    assert pack.unpack(0) == BivarPoly()
     assert pack.size(0) == 0
 
 

@@ -38,7 +38,7 @@ from gammalab.permutations import (
     skew_sum,
     standardize,
 )
-from gammalab.polys import BivarPoly
+from gammalab.polys import BivarPoly, Packing
 from gammalab.series import rsk_two_sided_eulerian, simple_series
 
 A4 = BivarPoly({(0, 0): 1, (1, 1): 10, (2, 2): 10, (3, 3): 1, (1, 2): 1, (2, 1): 1})
@@ -294,14 +294,8 @@ def test_eulerian_dp_checks_its_packing(monkeypatch):
     # digit sum cannot see it: a carry leaves the tally mod 2**width - 1 alone.
     from gammalab import permutations
 
-    class Narrow(permutations._TallyPacking):
-        def __init__(self, n):
-            super().__init__(n)
-            self.width = 10
-            self._mask = (1 << 10) - 1
-
-    monkeypatch.setattr(permutations, "_TallyPacking", Narrow)
-    assert Narrow(8).size(permutations._eulerian_counts(8)) == math.factorial(8) % 1023
+    monkeypatch.setattr(permutations, "_tally_packing", lambda n: Packing(10, n))
+    assert Packing(10, 8).size(permutations._eulerian_counts(8)) == math.factorial(8) % 1023
     with pytest.raises(DistributionError):
         eulerian_distribution(8)
 

@@ -7,6 +7,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gammalab.errors import ExpansionError
 from gammalab.polys import (
@@ -16,6 +18,7 @@ from gammalab.polys import (
     S_PLUS_T,
     ZERO,
     BivarPoly,
+    Packing,
     UniPoly,
     diagonal_profile,
     gamma_basis_bivariate,
@@ -130,6 +133,78 @@ def test_poly_json_terms():
 
 def test_poly_evaluate_at_one():
     assert A4.evaluate_at_one() == 24
+
+
+# ---------------------------------------------------------------------------
+# Kronecker packing
+# ---------------------------------------------------------------------------
+
+def l1_norm(P):
+    return sum(abs(v) for _, v in P.items())
+
+
+def t_degree(P):
+    return max((q for (_, q), _ in P.items()), default=-1)
+
+
+def bivar_polys(max_coeff):
+    monomials = st.tuples(st.integers(0, 7), st.integers(0, 7))
+    coeffs = st.integers(-max_coeff, max_coeff)
+    return st.dictionaries(monomials, coeffs, max_size=12).map(BivarPoly)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(2, 130), st.integers(1, 9))
+def test_packing_round_trip_at_the_widest_digits(data, width, stride):
+    # Every coefficient is +-(2**(width-1) - 1), the largest the width holds,
+    # so neighbouring digits borrow from each other in both directions.
+    top = (1 << (width - 1)) - 1
+    monomials = st.tuples(st.integers(0, 6), st.integers(0, stride - 1))
+    signs = data.draw(st.dictionaries(monomials, st.booleans(), max_size=30))
+    P = BivarPoly({key: top if positive else -top for key, positive in signs.items()})
+    pack = Packing(width, stride)
+    assert pack.unpack(pack.pack(P)) == P
+    assert pack.unpack(-pack.pack(P)) == -P
+
+
+@settings(max_examples=300, deadline=None)
+@given(bivar_polys(10 ** 12), bivar_polys(10 ** 3))
+def test_packed_product_is_the_dict_product(P, Q):
+    # The layout that the product's l1 bound and t-degree bound prove.
+    bound = l1_norm(P) * l1_norm(Q)
+    pack = Packing((bound.bit_length() or 1) + 1, max(t_degree(P) + t_degree(Q) + 1, 1))
+    assert pack.unpack(pack.pack(P) * pack.pack(Q)) == P * Q
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 2 ** 70), st.integers(1, 2 ** 40), st.booleans(),
+       st.tuples(st.integers(0, 5), st.integers(0, 5)),
+       st.tuples(st.integers(0, 5), st.integers(0, 5)))
+def test_product_at_exactly_its_l1_bound(a, b, negative, m1, m2):
+    # One monomial times another: the product's coefficient is the l1 bound
+    # itself, the one case where the bound is tight, so the width the bound
+    # gives is the narrowest that holds it when it is positive.  (The signed
+    # digits reach down to -2**(width-1), so a negative power of two would
+    # still fit a bit narrower.)
+    P = BivarPoly({m1: -a if negative else a})
+    Q = BivarPoly({m2: b})
+    bound = l1_norm(P) * l1_norm(Q)
+    product = P * Q
+    assert l1_norm(product) == bound
+    pack = Packing(bound.bit_length() + 1, m1[1] + m2[1] + 1)
+    assert pack.unpack(pack.pack(P) * pack.pack(Q)) == product
+    narrower = Packing(bound.bit_length(), m1[1] + m2[1] + 1)
+    assert negative or narrower.unpack(narrower.pack(P) * narrower.pack(Q)) != product
+
+
+def test_packing_reads_a_tally():
+    pack = Packing(4, 3)
+    tally = pack.pack({(0, 1): 2, (2, 0): 5})
+    assert pack.size(tally) == 7
+    assert pack.from_slots([0, 2, 0, 0, 0, 0, 5, 0, 0]) == pack.unpack(tally)
+    assert pack.shift(2, 1) == 4 * 7
+    with pytest.raises(ValueError):
+        Packing(1, 3)  # one bit holds no positive signed digit
 
 
 # ---------------------------------------------------------------------------
@@ -254,3 +329,14 @@ def test_diagonal_profile():
 def test_unipoly_text():
     assert UniPoly({0: 1, 1: 11, 2: 11, 3: 1}).text() == "1 + 11*q + 11*q^2 + q^3"
     assert UniPoly().text() == "0"
+    assert (UniPoly({1: 1}) * -3 + UniPoly({0: 2})).text() == "2 - 3*q"
+
+
+def test_unipoly_arithmetic_matches_bivariate_in_s():
+    f, g = UniPoly({0: 1, 2: -3}), UniPoly({1: 2, 3: 1})
+    F, G = (BivarPoly({(k, 0): v for k, v in h.items()}) for h in (f, g))
+    for uni, bi in ((f + g, F + G), (f * g, F * G), (f ** 3, F ** 3), (2 * f, F * 2)):
+        assert {(k, 0): v for k, v in uni.items()} == dict(bi.items())
+    assert hash(f * g) == hash(g * f) and f * g == g * f
+    with pytest.raises(ValueError):
+        f ** -1

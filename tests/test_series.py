@@ -1,5 +1,6 @@
 """Power series over polynomial coefficients: inversion, the system, the oracle."""
 import itertools
+import random
 from math import comb, prod
 
 import pytest
@@ -13,10 +14,11 @@ from gammalab.permutations import (
     joint_distribution,
     simple_distribution,
 )
-from gammalab.polys import ONE, ST, S_PLUS_T, ZERO, BivarPoly
+from gammalab.polys import ONE, ST, S_PLUS_T, ZERO, BivarPoly, Packing
 from gammalab.series import (
     MAX_RSK_N,
     PowerSeries,
+    _exact_quotient,
     _tableau_descent_vectors,
     closure_series,
     eulerian_series,
@@ -86,6 +88,91 @@ def test_geometric_inverse():
     assert geometric_inverse(PowerSeries(1, [ZERO, ST])) == PowerSeries(1, [ONE, -ST])
     with pytest.raises(ValueError):
         geometric_inverse(PowerSeries(3, [ONE]))
+
+
+# ---------------------------------------------------------------------------
+# packed arithmetic against dict loops
+# ---------------------------------------------------------------------------
+#
+# The series operations multiply packed ints.  These references multiply the
+# dict polynomials coefficient by coefficient, as the series code did before
+# it packed, and share nothing with the packed kernels.
+
+def dict_product(a, b):
+    out = [ZERO] * len(a)
+    for i, x in enumerate(a):
+        for j in range(len(a) - i):
+            out[i + j] = out[i + j] + x * b[j]
+    return out
+
+
+def dict_compose(c, g):
+    out = [c[0]] + [ZERO] * (len(c) - 1)
+    power = [ONE] + [ZERO] * (len(c) - 1)
+    for k in range(1, len(c)):
+        power = dict_product(power, g)
+        out = [o + c[k] * p for o, p in zip(out, power)]
+    return out
+
+
+def dict_geometric_inverse(y):
+    h = [ONE]
+    for n in range(1, len(y)):
+        acc = ZERO
+        for k in range(1, n + 1):
+            acc = acc + y[k] * h[n - k]
+        h.append(-acc)
+    return h
+
+
+def dict_functional_inverse(f):
+    h = dict_geometric_inverse([ZERO] + f[2:])
+    power, g = h, [ZERO, ONE]
+    for n in range(2, len(f)):
+        power = dict_product(power, h)
+        quotient = {key: v // n for key, v in power[n - 1].items()}
+        assert BivarPoly(quotient) * n == power[n - 1]
+        g.append(BivarPoly(quotient))
+    return g
+
+
+def random_series(rng, N, lead=None):
+    """Signed coefficients with no symmetry in s and t, some large, and
+    t-degrees up to n + 3 at x^n, past the n - 1 of the Eulerian series."""
+    coeffs = [ZERO]
+    for n in range(1, N + 1):
+        size = rng.choice((5, 50, 10 ** 9))
+        terms = {(rng.randrange(n + 1), rng.randrange(n + 4)): rng.randint(-size, size)
+                 for _ in range(rng.randrange(5))}
+        coeffs.append(BivarPoly(terms))
+    if lead is not None:
+        coeffs[1] = lead
+    return coeffs
+
+
+def test_packed_operations_match_dict_loops():
+    rng = random.Random(20260917)
+    for N in range(1, 11):
+        for _ in range(3):
+            a, b = random_series(rng, N), random_series(rng, N)
+            a0 = [BivarPoly({(0, 2): rng.randint(-9, 9)})] + a[1:]  # a nonzero constant term
+            A, A0, B = PowerSeries(N, a), PowerSeries(N, a0), PowerSeries(N, b)
+            assert (A0 * B).coefficients() == dict_product(a0, b)
+            assert (A * ST).coefficients() == [x * ST for x in a]
+            assert (A0 * (A * ST)).coefficients() == dict_product(a0, [x * ST for x in a])
+            assert A0.compose(B).coefficients() == dict_compose(a0, b)
+            assert geometric_inverse(A).coefficients() == dict_geometric_inverse(a)
+            f = random_series(rng, N, lead=ONE)
+            assert functional_inverse(PowerSeries(N, f)).coefficients() == dict_functional_inverse(f)
+
+
+def test_exact_quotient_checks_each_coefficient_after_unpacking():
+    # 2 + t packs to 2 + 2**width, an even int, but t/2 is not in Z[s,t].
+    P = BivarPoly({(0, 0): 2, (0, 1): 1})
+    assert Packing(8, 2).pack(P) % 2 == 0
+    with pytest.raises(InversionError, match="not a multiple of 2"):
+        _exact_quotient(P, 2)
+    assert _exact_quotient(P * 2, 2) == P
 
 
 # ---------------------------------------------------------------------------

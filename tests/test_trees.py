@@ -260,6 +260,14 @@ def test_node_count_identity():
             assert total == n - 1
 
 
+def test_iter_nodes_without_leaves_keeps_the_internal_nodes_in_preorder():
+    for n in range(1, 7):
+        for p in all_perms(n):
+            t = decompose(p)
+            internal = [(path, sub) for path, sub in iter_nodes(t) if sub.skeleton is not None]
+            assert list(iter_nodes(t, leaves=False)) == internal
+
+
 # ---------------------------------------------------------------------------
 # chains
 # ---------------------------------------------------------------------------
