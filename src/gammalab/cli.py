@@ -9,19 +9,23 @@ bytes, in any of the three formats (text, json, csv).
 
 Each command's payload is written as JSON text first (`_json_text`, the bytes
 of ``json.dumps(payload, indent=2, sort_keys=True)``); text and csv are
-rendered from ``json.loads`` of that text.  Two values are pre-rendered: the
-``tree_json`` and ``chains`` of ``decompose`` are written as JSON text for
-their depth in the payload (`_tree_json_text`, `_chains_json_text`) and
-marked `_JsonText`, which the writer appends as it is.
+rendered from ``json.loads`` of that text.  The bulk values are pre-rendered:
+the ``tree_json`` and ``chains`` of ``decompose`` and each size's
+``classes`` of ``verify --suite lemma39`` are written as JSON text for their
+depth in the payload (`_tree_json_text`, `_chains_json_text`,
+`_classes_json_text`) and marked `_JsonText`, which the writer appends as it
+is.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or parse error,
-3 resource bound exceeded.
+Exit codes: 0 success, 1 verification failure, 2 usage or parse error (a
+stdout closed by its reader included), 3 resource bound exceeded.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
@@ -141,7 +145,15 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
         except OSError as exc:
             raise ParseError(f"cannot write --output {args.output}: {exc.strerror}") from exc
     else:
-        sys.stdout.writelines(out)
+        try:
+            sys.stdout.writelines(out)
+            sys.stdout.flush()
+        except BrokenPipeError as exc:
+            # The reader is gone: later writes, and the flush at exit, go nowhere.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise ParseError(f"cannot write to stdout: {exc.strerror}") from exc
 
 
 class _JsonText(str):
@@ -174,8 +186,7 @@ def _json_text(obj: object) -> str:
     """
     parts: list[str] = []
     append = parts.append
-    # Each str key's `"key": ` text, shared by all its occurrences: on the
-    # lemma39 output this cuts peak memory by about 5 MB.
+    # Each str key's `"key": ` text, shared by all its occurrences.
     keys: dict[str, str] = {}
     # pads[d] is the line break and indent of depth d, seps[d] the item
     # separator before it.
@@ -535,9 +546,7 @@ def _lemma39(max_n: int, args: argparse.Namespace) -> tuple[bool, list]:
         expansion = report.expansion
         results.append({
             "n": report.n,
-            "classes": [{"minimal": rec.minimal_text, "size": rec.size,
-                         "i": rec.signature.gamma_i, "j": rec.signature.gamma_j}
-                        for rec in report.classes],
+            "classes": _classes_json_text(report),
             "polynomial": _poly_payload(report.total),
             "gamma": None if expansion is None else expansion.json_form(),
             "positive": expansion is not None and expansion.is_positive(),
@@ -545,6 +554,28 @@ def _lemma39(max_n: int, args: argparse.Namespace) -> tuple[bool, list]:
             "failures": list(report.failures),
         })
     return all(r["pass"] for r in results), results
+
+
+def _classes_json_text(report: orbits.ClosureClassReport) -> _JsonText:
+    """The ``classes`` records of one lemma39 size, ``{"i", "j", "minimal",
+    "size"}`` for each class in label order, as `_json_text` writes them at
+    depth 3 of the payload.  A record is its kind's text before the label,
+    the label, and its kind's text after it up to the next record; the two
+    texts are filled in once per kind from one template at depth 4, and one
+    join writes every record."""
+    kinds, labels = report.kinds, report.labels
+    pad3, pad4, pad5 = ("\n" + "  " * d for d in (3, 4, 5))
+    head = "{" + pad5 + '"i": %d,' + pad5 + '"j": %d,' + pad5 + '"minimal": '
+    tail = "," + pad5 + '"size": %d' + pad4 + "}"
+    distinct = set(kinds)
+    before = {kind: head % (kind.signature.gamma_i, kind.signature.gamma_j) for kind in distinct}
+    after = {kind: tail % kind.size + "," + pad4 for kind in distinct}
+    parts = list(itertools.chain.from_iterable(zip(
+        map(before.__getitem__, kinds), map(encode_basestring_ascii, labels),
+        map(after.__getitem__, kinds))))
+    parts[0] = "[" + pad4 + parts[0]
+    parts[-1] = tail % kinds[-1].size + pad3 + "]"
+    return _JsonText("".join(parts))
 
 
 # Every route of every poly target and verify suite: command -> quantity ->

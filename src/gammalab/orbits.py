@@ -22,8 +22,11 @@ class carries its label, the `tree_text` of its minimal representative,
 the (des, ides) tally of all its members packed in one int
 (`permutations._tally_packing`, the layout of every (des, ides) tally;
 inflation multiplies tallies), and the node counts of its minimal
-representative, from which its signature follows.  At n = 10
-the 85369 classes stand for 909482 trees, and at n = 11 the 424330
+representative, from which its signature follows.  One pass
+(`closure_class_reports`) checks each size as the DP completes it, and
+every class that passes shares one `ClassKind` with the classes of equal
+node counts, and one packed basis element with its parents in the DP.  At
+n = 10 the 85369 classes stand for 909482 trees, and at n = 11 the 424330
 classes for 5753398.  Sizes past `MAX_CLOSURE_TREE_N` are refused before
 anything is built.  `closure_trees` builds the trees themselves, size by
 size, for the tests to compare against; the closure polynomials come by
@@ -39,8 +42,8 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from collections.abc import Iterator
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .errors import ExpansionError, ResourceBoundError, StructureError
 from .permutations import (
@@ -60,7 +63,6 @@ from .polys import (
     ZERO,
     BivarGammaExpansion,
     BivarPoly,
-    Packing,
     gamma_basis_bivariate,
     gamma_expand_bivariate,
 )
@@ -258,12 +260,12 @@ def _compositions(n: int, parts: int):
 
 
 # The size cap of the class DP and of `closure_trees`.  On a 2-vCPU host
-# `verify --suite lemma39 --max-n 10` takes about 1.5 s and peaks at about
-# 120 MB, and `--max-n 11 --long-run` about 9 s and 580 MB
-# (`closure_class_report(11)` alone: 5 s, 350 MB, 424330 classes).  The class
-# count grew fivefold from n = 10 to 11, so n = 12 would need an estimated
-# 3 GB and is refused before anything is built; `closure_trees(11, 5)`
-# already returns 5.75M trees.
+# `verify --suite lemma39 --max-n 10` takes about 0.7 s and peaks at about
+# 100 MB, and `--max-n 11 --long-run` about 4-5 s and 480 MB
+# (`closure_class_report(11)` alone: 2.3 s, 330 MB, 424330 classes).  With
+# the cap lifted, `--max-n 12 --long-run` took 27 s and 2.6 GB (the checks
+# alone 20 s and 1.9 GB, for 2136070 classes), so n = 12 is refused before
+# anything is built; `closure_trees(11, 5)` already returns 5.75M trees.
 MAX_CLOSURE_TREE_N = 11
 
 
@@ -421,10 +423,25 @@ class ClassRecord:
     signature: ClassSignature
 
 
+@dataclass
+class ClassKind:
+    """What a report reads of a class but its label.  The classes of one
+    size with the same node counts that pass every check share one kind; a
+    class that fails one gets its own, read off its own ``packed`` tally."""
+    signature: ClassSignature
+    size: int
+    distribution: BivarPoly
+    packed: int = field(compare=False)  # at the width of the sweep
+    __hash__ = object.__hash__  # each kind is counted as itself
+
+
 @dataclass(frozen=True)
 class ClosureClassReport:
+    """The classes of one size in label order, each with its `ClassKind`,
+    and the failures of that size: per class in label order, then classwide."""
     n: int
-    classes: tuple[ClassRecord, ...]
+    labels: list[str]
+    kinds: list[ClassKind]
     failures: tuple[str, ...]
     total: BivarPoly
     expansion: BivarGammaExpansion | None  # None when the total has none
@@ -433,77 +450,95 @@ class ClosureClassReport:
     def ok(self) -> bool:
         return not self.failures
 
-
-def closure_class_report(n: int) -> ClosureClassReport:
-    """Group the members of length n of the closure of the simple permutations
-    of length <= 5 into orbits and check each one.
-
-    The classes come from the class DP (`_class_tallies`) with their
-    members' packed (des, ides) tally and their minimal representative's
-    node counts, so no tree is built or walked.  Per class: the orbit size
-    is 2^(odd_chains + n4), the node-count identity holds, and the class
-    distribution equals its single gamma-basis element.  Classwide: the
-    total equals `closure_distribution(n, 5)`, which comes by series
-    inversion, and the class counts per (i, j) are exactly the gamma
-    coefficients of the total distribution.
-    """
-    for heads in _class_tallies(n):  # run to the top size, keeping no list of the smaller ones
-        pass
-    return _class_report(n, heads, _tally_packing(n))
+    @cached_property
+    def classes(self) -> tuple[ClassRecord, ...]:
+        """Each class as one record: those with one basis element share its
+        polynomial, and those with equal node counts one signature."""
+        return tuple(ClassRecord(label, kind.size, kind.distribution, kind.signature)
+                     for label, kind in zip(self.labels, self.kinds))
 
 
 def closure_class_reports(max_n: int) -> Iterator[ClosureClassReport]:
-    """`closure_class_report` of every size 1..max_n, from one class DP."""
+    """Group the members of each length 1..max_n of the closure of the simple
+    permutations of length <= 5 into orbits, and check each one.
+
+    The classes come from the class DP (`_class_tallies`), so no tree is
+    built or walked.  Per class: the orbit size is 2^(odd_chains + n4), the
+    node-count identity holds, and the class distribution equals its single
+    gamma-basis element.  Per size: the total equals `closure_distribution(n,
+    5)`, which comes by series inversion, and the class counts per (i, j)
+    are exactly the gamma coefficients of the total distribution.
+
+    All but the tally depend only on a class's node counts, so they are
+    worked out once per distinct counts: a class that passes costs one
+    lookup and one int compare.  Each size is checked before the DP builds
+    the next from it, and a class that passes then holds the shared basis
+    element in place of its own equal tally; one that fails keeps its own,
+    so its parents fail as well.
+    """
     pack = _tally_packing(max_n)
-    for m, heads in enumerate(_class_tallies(max_n), 1):
-        yield _class_report(m, heads, pack)
-
-
-def _class_report(n: int, heads: dict[str, tuple[int, int]],
-                  pack: Packing) -> ClosureClassReport:
-    failures: list[str] = []
-    records: list[ClassRecord] = []
-    total = 0
-    gamma_counts: Counter = Counter()
-    signatures: dict[int, ClassSignature] = {}
-    basis: dict[tuple[int, int], tuple[int, BivarPoly]] = {}
-    for label in sorted(heads):
-        tally, counts = heads[label]
-        sig = signatures.get(counts)
-        if sig is None:
-            sig = signatures[counts] = _signature(n, counts)
-        size = pack.size(tally)
-        if size != sig.orbit_size():
-            failures.append(f"{label}: orbit size {size} != 2^(r+v4) = {sig.orbit_size()}")
-        if not sig.node_count_identity_holds():
-            failures.append(f"{label}: node-count identity fails for {sig}")
-        ij = sig.gamma_i, sig.gamma_j
-        if ij not in basis:
-            element = signature_polynomial(sig)
-            basis[ij] = pack.pack(element), element
-        packed, element = basis[ij]
-        if tally == packed:
-            dist = element
+    for m, classes in enumerate(_class_tallies(max_n), 1):
+        failures: list[str] = []
+        basis: dict[tuple[int, int], tuple[int, BivarPoly]] = {}
+        # counts -> (the tally that passes, or None if none can; the DP
+        # entry that replaces it; the kind of the classes that pass)
+        memo: dict[int, tuple[int | None, tuple[int, int], ClassKind]] = {}
+        labels = sorted(classes)
+        kinds: list[ClassKind] = []
+        append = kinds.append
+        for label in labels:
+            tally, counts = classes[label]
+            known = memo.get(counts)
+            if known is None:
+                sig = _signature(m, counts)
+                ij = sig.gamma_i, sig.gamma_j
+                if ij not in basis:
+                    element = signature_polynomial(sig)
+                    basis[ij] = pack.pack(element), element
+                packed, element = basis[ij]
+                kind = ClassKind(sig, pack.size(packed), element, packed)
+                sound = kind.size == sig.orbit_size() and sig.node_count_identity_holds()
+                known = memo[counts] = packed if sound else None, (packed, counts), kind
+            passing, entry, kind = known
+            if tally == passing:
+                classes[label] = entry
+            else:
+                sig = kind.signature
+                size = pack.size(tally)
+                if size != sig.orbit_size():
+                    failures.append(f"{label}: orbit size {size} != 2^(r+v4) = {sig.orbit_size()}")
+                if not sig.node_count_identity_holds():
+                    failures.append(f"{label}: node-count identity fails for {sig}")
+                if tally != kind.packed:
+                    failures.append(f"{label}: distribution is not the expected basis element")
+                    kind = ClassKind(sig, size, pack.unpack(tally), tally)
+            append(kind)
+        total = 0
+        gamma_counts: Counter = Counter()
+        for kind, count in Counter(kinds).items():
+            total += kind.packed * count
+            gamma_counts[kind.signature.gamma_i, kind.signature.gamma_j] += count
+        total_poly = pack.unpack(total)
+        if total_poly != closure_distribution(m, 5):
+            failures.append("total distribution differs from the closure series coefficient")
+        try:
+            expansion = gamma_expand_bivariate(total_poly, m - 1)
+        except ExpansionError as exc:  # a class lost its symmetry: report it, do not crash
+            expansion = None
+            failures.append(f"total distribution has no gamma expansion: {exc}")
         else:
-            dist = pack.unpack(tally)
-            failures.append(f"{label}: distribution is not the expected basis element")
-        gamma_counts[ij] += 1
-        records.append(ClassRecord(label, size, dist, sig))
-        total += tally
-    total_poly = pack.unpack(total)
-    if total_poly != closure_distribution(n, 5):
-        failures.append("total distribution differs from the closure series coefficient")
-    try:
-        expansion = gamma_expand_bivariate(total_poly, n - 1)
-    except ExpansionError as exc:  # a class lost its symmetry: report it, do not crash
-        expansion = None
-        failures.append(f"total distribution has no gamma expansion: {exc}")
-    else:
-        if expansion.as_dict() != gamma_counts:
-            failures.append("gamma coefficients do not match the class counts per (i, j)")
-        if not expansion.is_positive():
-            failures.append("total distribution is not gamma-positive")
-    return ClosureClassReport(n, tuple(records), tuple(failures), total_poly, expansion)
+            if expansion.as_dict() != gamma_counts:
+                failures.append("gamma coefficients do not match the class counts per (i, j)")
+            if not expansion.is_positive():
+                failures.append("total distribution is not gamma-positive")
+        yield ClosureClassReport(m, labels, kinds, tuple(failures), total_poly, expansion)
+
+
+def closure_class_report(n: int) -> ClosureClassReport:
+    """The last of `closure_class_reports(n)`: the classes of length n."""
+    for report in closure_class_reports(n):
+        pass
+    return report
 
 
 # ---------------------------------------------------------------------------

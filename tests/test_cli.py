@@ -27,9 +27,14 @@ from gammalab.polys import BivarPoly
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_cli(*args, env_extra=None, text=True):
+def cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(PKG_ROOT, "src") + os.pathsep + env.get("PYTHONPATH", "")
+    return env
+
+
+def run_cli(*args, env_extra=None, text=True):
+    env = cli_env()
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -371,10 +376,75 @@ def test_lemma39_fails_when_a_class_is_wrong(monkeypatch, capsys):
     assert f"{short}: distribution is not the expected basis element" in report.failures
     assert any(f.startswith(f"{short}: orbit size ") for f in report.failures)
     assert cli.main(["verify", "--suite", "lemma39", "--max-n", "5", "--format", "json"]) == 1
-    data = json.loads(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    assert out == plain_lemma39_json(5)
+    data = json.loads(out)
     assert data["ok"] is False
     assert [r["pass"] for r in data["results"]] == [True, True, True, False, True]
     assert data["results"][3]["positive"] is False
+
+
+def test_lemma39_fails_when_a_class_breaks_the_node_count_identity(monkeypatch, capsys):
+    # One class at n = 5 claims one odd chain more than it has: its orbit
+    # size and its node counts no longer agree, though its basis element,
+    # read off (i, j), is still its tally.
+    from gammalab import orbits
+    real = orbits._class_tallies
+    *_, top = real(5)
+    label = sorted(top)[0]
+    true = orbits._signature(5, top[label][1])
+    claimed = orbits._signature(5, top[label][1] + orbits._ODD)
+    assert not claimed.node_count_identity_holds()
+
+    def broken(n):
+        for m, classes in enumerate(real(n), 1):
+            if m == 5:
+                classes = dict(classes)
+                tally, counts = classes[label]
+                classes[label] = tally, counts + orbits._ODD
+            yield classes
+
+    monkeypatch.setattr(orbits, "_class_tallies", broken)
+    expected = (
+        f"{label}: orbit size {true.orbit_size()} != 2^(r+v4) = {claimed.orbit_size()}",
+        f"{label}: node-count identity fails for {claimed}",
+    )
+    assert orbits.closure_class_report(5).failures == expected
+    assert cli.main(["verify", "--suite", "lemma39", "--max-n", "6", "--format", "json"]) == 1
+    out = capsys.readouterr().out
+    assert out == plain_lemma39_json(6)
+    data = json.loads(out)
+    assert data["ok"] is False
+    assert [r["pass"] for r in data["results"]] == [True, True, True, True, False, True]
+    assert data["results"][4]["failures"] == list(expected)
+
+
+def plain_lemma39_json(max_n):
+    """The lemma39 payload as plain dicts of the `closure_class_reports`
+    records, written by ``json.dumps``."""
+    from gammalab import orbits
+    results = []
+    for report in orbits.closure_class_reports(max_n):
+        expansion = report.expansion
+        results.append({
+            "n": report.n,
+            "classes": [{"minimal": rec.minimal_text, "size": rec.size,
+                         "i": rec.signature.gamma_i, "j": rec.signature.gamma_j}
+                        for rec in report.classes],
+            "polynomial": {"text": report.total.text(), "terms": report.total.json_terms()},
+            "gamma": None if expansion is None else expansion.json_form(),
+            "positive": expansion is not None and expansion.is_positive(),
+            "pass": report.ok,
+            "failures": list(report.failures),
+        })
+    payload = {"suite": "lemma39", "ok": all(r["pass"] for r in results), "results": results}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("max_n", range(1, 9))
+def test_lemma39_json_is_json_dumps_of_the_plain_payload(max_n, capsys):
+    assert cli.main(["verify", "--suite", "lemma39", "--max-n", str(max_n), "--format", "json"]) == 0
+    assert capsys.readouterr().out == plain_lemma39_json(max_n)
 
 
 def test_determinism():
@@ -409,6 +479,21 @@ def test_output_to_an_unwritable_path_is_usage_error(tmp_path):
     proc = run_cli("poly", "--target", "eulerian", "--n", "3", "--output", str(target))
     assert_usage_error(proc, "--output")
     assert not target.exists()
+
+
+def test_a_closed_stdout_is_a_usage_error_without_a_traceback():
+    # The reader takes one line and closes the pipe while the writer still
+    # has most of its output (several hundred kB, past any pipe buffer) to go.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "gammalab", "verify", "--suite", "lemma39", "--max-n", "8",
+         "--format", "json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=cli_env())
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 2
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("error: cannot write to stdout")
 
 
 def test_main_serves_requests_back_to_back_like_fresh_processes(capsys):

@@ -327,6 +327,46 @@ def test_one_class_sweep_matches_the_reports_of_each_size():
     assert list(closure_class_reports(7)) == [closure_class_report(n) for n in range(1, 8)]
 
 
+def test_a_class_that_fails_keeps_its_own_tally_for_its_parents(monkeypatch):
+    # One tally at n = 4 is shifted by one descent in the DP itself: the
+    # check does not put the right basis element in its place, so the
+    # classes of n = 5 built from it fail too.
+    real = orbits._class_tallies
+
+    def broken(n):
+        pack = _tally_packing(n)
+        for m, classes in enumerate(real(n), 1):
+            if m == 4:
+                label = min(classes)
+                tally, counts = classes[label]
+                classes[label] = tally << pack.shift(1, 0), counts
+            yield classes
+
+    monkeypatch.setattr(orbits, "_class_tallies", broken)
+    reports = list(closure_class_reports(5))
+    assert [report.ok for report in reports] == [True, True, True, False, False]
+    assert any(f.endswith(": distribution is not the expected basis element")
+               for f in reports[4].failures)
+
+
+def test_classes_that_pass_share_one_tally_per_basis_element(monkeypatch):
+    # Once a size is checked, its classes hold one shared int per (i, j),
+    # which the DP multiplies in place of their own equal tallies.
+    real = orbits._class_tallies
+    sizes = []
+
+    def kept(n):
+        for classes in real(n):
+            sizes.append(classes)
+            yield classes
+
+    monkeypatch.setattr(orbits, "_class_tallies", kept)
+    for report in closure_class_reports(7):
+        exponents = {(kind.signature.gamma_i, kind.signature.gamma_j) for kind in report.kinds}
+        assert len({id(tally) for tally, _ in sizes[-1].values()}) == len(exponents)
+    assert len(sizes) == 7
+
+
 def test_tally_packing_at_the_widest_size():
     n = 11
     pack = _tally_packing(n)
