@@ -7,14 +7,15 @@ expansions, and ``verify`` for the exhaustive identity suites.  Output is
 deterministic: the same command and configuration always produce identical
 bytes, in any of the three formats (text, json, csv).
 
-Each command's payload is written as JSON text first (`_json_text`, the bytes
-of ``json.dumps(payload, indent=2, sort_keys=True)``); text and csv are
-rendered from ``json.loads`` of that text.  The bulk values are pre-rendered:
-the ``tree_json`` and ``chains`` of ``decompose`` and each size's
-``classes`` of ``verify --suite lemma39`` are written as JSON text for their
-depth in the payload (`_tree_json_text`, `_chains_json_text`,
-`_classes_json_text`) and marked `_JsonText`, which the writer appends as it
-is.
+Each command's payload is written as the bytes of ``json.dumps(payload,
+indent=2, sort_keys=True)``; text and csv are rendered from ``json.loads``
+of that text.  The bulk values are pre-rendered: the ``tree_json`` and
+``chains`` of ``decompose`` and each size's ``classes`` of ``verify --suite
+lemma39`` are written as JSON text for their depth in the payload
+(`_tree_json_text`, `_chains_json_text`, `_classes_json_text`) and held in a
+`_JsonText`.  The encoder writes a marker in place of each, and
+`_json_parts` splices the texts back in, so ``--format json`` writes the
+answer part by part without ever joining it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error (a
 stdout closed by its reader included), 3 resource bound exceeded.
@@ -127,26 +128,26 @@ def build_parser() -> argparse.ArgumentParser:
 def _emit(payload: dict, args: argparse.Namespace) -> None:
     """Write ``payload`` in the chosen format.
 
-    The JSON text is always built first; text and csv are rendered from
-    ``json.loads`` of it, so a payload may hold `_JsonText` values and every
-    format sees the same plain data.
+    JSON goes out as the parts of `_json_parts`, one write each, so the
+    answer is never joined into one string; text and csv are rendered from
+    ``json.loads`` of the joined parts, so a payload may hold `_JsonText`
+    values and every format sees the same plain data.
     """
-    text = _json_text(payload)
+    parts = _json_parts(payload)
     if args.format == "json":
-        out = (text, "\n")  # two writes: no copy of the whole text for its newline
-    elif args.format == "csv":
-        out = (_to_csv(json.loads(text)),)
+        parts.append("\n")
     else:
-        out = (_to_text(json.loads(text)),)
+        data = json.loads("".join(parts))
+        parts = [_to_csv(data) if args.format == "csv" else _to_text(data)]
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
-                fh.writelines(out)
+                fh.writelines(parts)
         except OSError as exc:
             raise ParseError(f"cannot write --output {args.output}: {exc.strerror}") from exc
     else:
         try:
-            sys.stdout.writelines(out)
+            sys.stdout.writelines(parts)
             sys.stdout.flush()
         except BrokenPipeError as exc:
             # The reader is gone: later writes, and the flush at exit, go nowhere.
@@ -156,123 +157,51 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
             raise ParseError(f"cannot write to stdout: {exc.strerror}") from exc
 
 
-class _JsonText(str):
+class _JsonText:
     """A value already written as JSON text, with the line breaks and indents
-    of the depth where it sits; `_json_text` appends it verbatim."""
-    __slots__ = ()
+    of the depth where it sits; `_json_parts` puts it in its place."""
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
 
 
-def _json_text(obj: object) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)``, written by one loop.
+def _json_parts(payload: object) -> list[str]:
+    """``json.dumps(payload, indent=2, sort_keys=True)`` as a list of parts,
+    each `_JsonText` value's text one part of its own.
 
-    The standard encoder falls back to nested Python generators whenever
-    ``indent`` is set, and recurses once per nesting level.  This writer keeps
-    an explicit stack of open containers instead; the line break and the
-    item separator of each depth are built once and shared by every
-    container there.  Strings, ints, bools, None, dicts, lists and tuples are
-    written here, and a `_JsonText` value is appended as it is; anything else
-    (floats, other subclasses of str or int, unsupported types) goes through
-    ``json.dumps``.
+    The encoder's ``default`` keeps each `_JsonText`'s text in encoding order
+    and writes a NUL string in its place; the output is split at those
+    markers and the kept texts go back between the pieces.  A payload string
+    that also encodes to the marker makes the counts differ, and raises.
 
-    >>> print(_json_text({"b": [1, True, None], "a": "\u00e9"}))
-    {
-      "a": "\\u00e9",
-      "b": [
-        1,
-        true,
-        null
-      ]
-    }
+    >>> _json_parts({"b": _JsonText("[]"), "a": [1]})
+    ['{\\n  "a": [\\n    1\\n  ],\\n  "b": ', '[]', '\\n}']
     """
-    parts: list[str] = []
-    append = parts.append
-    # Each str key's `"key": ` text, shared by all its occurrences.
-    keys: dict[str, str] = {}
-    # pads[d] is the line break and indent of depth d, seps[d] the item
-    # separator before it.
-    pads = ["\n"]
-    seps = [",\n"]
-    # The innermost open container is (items, is_dict, close): its remaining
-    # items, whether it is a dict, and its closing bracket.  The stack holds
-    # the same triple for every container around it.
-    stack: list[tuple] = []
-    items = is_dict = close = None
-    depth = 0
-    value = obj
-    while True:
-        kind = type(value)
-        if kind is str:
-            append(encode_basestring_ascii(value))
-        elif kind is int:
-            append(int.__repr__(value))
-        elif value is None:
-            append("null")
-        elif value is True:
-            append("true")
-        elif value is False:
-            append("false")
-        elif isinstance(value, (dict, list, tuple)):
-            if not value:
-                append("{}" if isinstance(value, dict) else "[]")
-            else:
-                stack.append((items, is_dict, close))
-                depth += 1
-                if depth == len(pads):
-                    pads.append(pads[-1] + "  ")
-                    seps.append("," + pads[-1])
-                is_dict = isinstance(value, dict)
-                if is_dict:
-                    items = iter(sorted(value.items()))
-                    append("{")
-                    append(pads[depth])
-                    key, value = next(items)
-                    append(keys.get(key) or _json_key(key, keys))
-                    close = "}"
-                else:
-                    items = iter(value)
-                    append("[")
-                    append(pads[depth])
-                    value = next(items)
-                    close = "]"
-                continue
-        else:
-            append(value if kind is _JsonText else json.dumps(value))
-        # Find the next value to write, closing every container that is done.
-        while depth:
-            item = next(items, _DONE)
-            if item is _DONE:
-                depth -= 1
-                append(pads[depth])
-                append(close)
-                items, is_dict, close = stack.pop()
-                continue
-            append(seps[depth])
-            if is_dict:
-                key, value = item
-                append(keys.get(key) or _json_key(key, keys))
-            else:
-                value = item
-            break
-        else:
-            return "".join(parts)
+    kept: list[str] = []
 
+    def default(value: object) -> str:
+        if value.__class__ is not _JsonText:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        kept.append(value.text)
+        return "\0"
 
-_DONE = object()
-
-
-def _json_key(key: object, keys: dict[str, str]) -> str:
-    """The ``"key": `` text of one dict key, as ``json.dumps`` converts it."""
-    if isinstance(key, str):
-        text = keys[key] = encode_basestring_ascii(key) + ": "
-        return text
-    if key is None or isinstance(key, (int, float)):
-        return encode_basestring_ascii(json.dumps(key)) + ": "
-    raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+    pieces = json.dumps(payload, indent=2, sort_keys=True, default=default).split('"\\u0000"')
+    if len(pieces) != len(kept) + 1:
+        raise ValueError(f"{len(pieces) - 1} markers for {len(kept)} pre-rendered values: "
+                         "a payload string encodes as the marker")
+    parts = pieces + kept
+    parts[::2] = pieces
+    parts[1::2] = kept
+    # The encoder's closures refer to one another, and hold `default` and so
+    # `kept` until the next collection: drop the texts from it now.
+    kept.clear()
+    return parts
 
 
 def _tree_json_text(t: trees.DecompTree, depth: int) -> _JsonText:
-    """``_json_text(trees.tree_json(t))`` for the value at ``depth``, written
-    by one loop over the nodes.
+    """``json.dumps(trees.tree_json(t), indent=2, sort_keys=True)`` as it
+    reads at ``depth`` of the payload, written by one loop over the nodes.
 
     A node at depth d adds its leaf text, or its opening and, after its
     children at depth d + 2, its closing: the skeleton list and the brackets.
@@ -280,23 +209,12 @@ def _tree_json_text(t: trees.DecompTree, depth: int) -> _JsonText:
     once per (skeleton, depth), so a chain of sums reuses the same few strings
     at every level, and a tree of any depth is written without recursion.
 
-    >>> print(_tree_json_text(trees.decompose((2, 1)), 1))
-    {
-        "children": [
-          {
-            "children": [],
-            "skeleton": null
-          },
-          {
-            "children": [],
-            "skeleton": null
-          }
-        ],
-        "skeleton": [
-          2,
-          1
-        ]
-      }
+    A value at depth 1 is what ``json.dumps`` writes inside a one-item list:
+
+    >>> t = trees.decompose((2, 4, 1, 3, 5))
+    >>> text = json.dumps([trees.tree_json(t)], indent=2, sort_keys=True)
+    >>> text[4:-2] == _tree_json_text(t, 1).text
+    True
     """
     levels: dict[int, tuple[str, ...]] = {}
     closings: dict[tuple, str] = {}
@@ -349,7 +267,7 @@ def _tree_json_text(t: trees.DecompTree, depth: int) -> _JsonText:
 
 
 def _leaf_json_text(depth: int) -> str:
-    """``_json_text(trees.tree_json(trees.LEAF))`` for the value at ``depth``."""
+    """The text of `trees.tree_json` of a leaf for the value at ``depth``."""
     pad = "\n" + "  " * depth
     inner = pad + "  "
     return "{" + inner + '"children": [],' + inner + '"skeleton": null' + pad + "}"
@@ -364,11 +282,12 @@ class _IntTexts(dict):
 
 
 def _chains_json_text(part: trees.ChainPartition, depth: int) -> _JsonText:
-    """The ``chains`` records of `cmd_decompose` as `_json_text` writes them
-    for the value at ``depth``: each path is written with one join.
+    """The ``chains`` records of `cmd_decompose` as ``json.dumps(...,
+    indent=2, sort_keys=True)`` writes them at ``depth`` of the payload: each
+    path is written with one join.
 
     >>> part = trees.binary_right_chains(trees.decompose((1, 3, 2)))
-    >>> print(_chains_json_text(part, 0))
+    >>> print(_chains_json_text(part, 0).text)
     [
       {
         "labels": [
@@ -558,11 +477,12 @@ def _lemma39(max_n: int, args: argparse.Namespace) -> tuple[bool, list]:
 
 def _classes_json_text(report: orbits.ClosureClassReport) -> _JsonText:
     """The ``classes`` records of one lemma39 size, ``{"i", "j", "minimal",
-    "size"}`` for each class in label order, as `_json_text` writes them at
-    depth 3 of the payload.  A record is its kind's text before the label,
-    the label, and its kind's text after it up to the next record; the two
-    texts are filled in once per kind from one template at depth 4, and one
-    join writes every record."""
+    "size"}`` for each class in label order, as ``json.dumps(...,
+    indent=2, sort_keys=True)`` writes them at depth 3 of the payload.  A
+    record is its kind's text before the label, the label, and its kind's
+    text after it up to the next record; the two texts are filled in once
+    per kind from one template at depth 4, and one join writes every
+    record."""
     kinds, labels = report.kinds, report.labels
     pad3, pad4, pad5 = ("\n" + "  " * d for d in (3, 4, 5))
     head = "{" + pad5 + '"i": %d,' + pad5 + '"j": %d,' + pad5 + '"minimal": '

@@ -318,8 +318,13 @@ def closure_distribution(n: int, k: int) -> BivarPoly:
     _check_length(n)
     if k < 2:
         raise ValueError("k must be at least 2")
-    S = PowerSeries(n, [_simple_poly(ell) if 4 <= ell <= k else ZERO for ell in range(n + 1)])
-    return closure_series(S).coeff(n)
+    return closure_series(_cut_simple_series(n, k)).coeff(n)
+
+
+def _cut_simple_series(order: int, k: int) -> PowerSeries:
+    """The simple series to ``order``, cut to the lengths 4..k."""
+    return PowerSeries(order, [_simple_poly(ell) if 4 <= ell <= k else ZERO
+                               for ell in range(order + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -466,8 +471,9 @@ def closure_class_reports(max_n: int) -> Iterator[ClosureClassReport]:
     built or walked.  Per class: the orbit size is 2^(odd_chains + n4), the
     node-count identity holds, and the class distribution equals its single
     gamma-basis element.  Per size: the total equals `closure_distribution(n,
-    5)`, which comes by series inversion, and the class counts per (i, j)
-    are exactly the gamma coefficients of the total distribution.
+    5)`, which comes by series inversion (one `closure_series` to order
+    max_n serves every size), and the class counts per (i, j) are exactly
+    the gamma coefficients of the total distribution.
 
     All but the tally depend only on a class's node counts, so they are
     worked out once per distinct counts: a class that passes costs one
@@ -476,7 +482,9 @@ def closure_class_reports(max_n: int) -> Iterator[ClosureClassReport]:
     element in place of its own equal tally; one that fails keeps its own,
     so its parents fail as well.
     """
+    _check_closure_tree_length(max_n)  # before the series, which has no cap of its own
     pack = _tally_packing(max_n)
+    closure = closure_series(_cut_simple_series(max_n, 5))
     for m, classes in enumerate(_class_tallies(max_n), 1):
         failures: list[str] = []
         basis: dict[tuple[int, int], tuple[int, BivarPoly]] = {}
@@ -519,7 +527,7 @@ def closure_class_reports(max_n: int) -> Iterator[ClosureClassReport]:
             total += kind.packed * count
             gamma_counts[kind.signature.gamma_i, kind.signature.gamma_j] += count
         total_poly = pack.unpack(total)
-        if total_poly != closure_distribution(m, 5):
+        if total_poly != closure.coeff(m):
             failures.append("total distribution differs from the closure series coefficient")
         try:
             expansion = gamma_expand_bivariate(total_poly, m - 1)

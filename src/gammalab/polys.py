@@ -60,6 +60,15 @@ class BivarPoly:
     def monomial(cls, c: int, s_deg: int, t_deg: int) -> "BivarPoly":
         return cls({(s_deg, t_deg): c})
 
+    @classmethod
+    def from_nonzero(cls, c: dict[Monomial, int]) -> "BivarPoly":
+        """The polynomial of ``c``, taken as it is and not copied: the caller
+        guarantees no zero coefficient and no negative degree, and keeps no
+        reference to ``c``."""
+        out = cls.__new__(cls)
+        out._c = c
+        return out
+
     # -- inspection ----------------------------------------------------------
 
     def coeff(self, s_deg: int, t_deg: int) -> int:
@@ -96,9 +105,7 @@ class BivarPoly:
         return hash(frozenset(self._c.items()))
 
     def __neg__(self) -> "BivarPoly":
-        out = BivarPoly()
-        out._c = {k: -v for k, v in self._c.items()}
-        return out
+        return BivarPoly.from_nonzero({k: -v for k, v in self._c.items()})
 
     def __add__(self, other: "BivarPoly") -> "BivarPoly":
         if not isinstance(other, BivarPoly):
@@ -110,19 +117,15 @@ class BivarPoly:
                 c[k] = nv
             elif k in c:
                 del c[k]
-        out = BivarPoly()
-        out._c = c
-        return out
+        return BivarPoly.from_nonzero(c)
 
     def __sub__(self, other: "BivarPoly") -> "BivarPoly":
         return self + (-other)
 
     def __mul__(self, other: "BivarPoly | int") -> "BivarPoly":
         if isinstance(other, int):
-            out = BivarPoly()
-            if other:
-                out._c = {k: v * other for k, v in self._c.items()}
-            return out
+            c = {k: v * other for k, v in self._c.items()} if other else {}
+            return BivarPoly.from_nonzero(c)
         if not isinstance(other, BivarPoly):
             return NotImplemented
         c: dict[Monomial, int] = {}
@@ -134,9 +137,7 @@ class BivarPoly:
                     c[key] = nv
                 elif key in c:
                     del c[key]
-        out = BivarPoly()
-        out._c = c
-        return out
+        return BivarPoly.from_nonzero(c)
 
     __rmul__ = __mul__
 
@@ -253,9 +254,7 @@ class Packing:
                     c[p, q] = v
                 q += 1
             p += 1
-        out = BivarPoly()
-        out._c = c
-        return out
+        return BivarPoly.from_nonzero(c)
 
     def size(self, packed: int) -> int:
         """The digit sum: ``packed`` mod 2**width - 1."""

@@ -339,7 +339,9 @@ def test_verify_lemma39():
 
 def test_lemma39_fails_when_the_series_disagrees(monkeypatch, capsys):
     from gammalab import orbits
-    monkeypatch.setattr(orbits, "closure_distribution", lambda n, k: BivarPoly.const(n))
+    from gammalab.series import PowerSeries
+    monkeypatch.setattr(orbits, "closure_series",
+                        lambda S: PowerSeries(S.order, [BivarPoly.const(n) for n in range(S.order + 1)]))
     report = orbits.closure_class_report(4)
     assert not report.ok
     assert report.failures == (
@@ -474,6 +476,20 @@ def test_output_file(tmp_path):
     assert "\r" not in target.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+@pytest.mark.parametrize("argv", [("decompose", "452398167"),
+                                  ("verify", "--suite", "lemma39", "--max-n", "6")],
+                         ids=["decompose", "lemma39"])
+def test_output_file_holds_the_bytes_of_stdout(argv, fmt, tmp_path):
+    # Both payloads hold pre-rendered `_JsonText` values.
+    target = tmp_path / "out"
+    to_file = run_cli(*argv, "--format", fmt, "--output", str(target), text=False)
+    to_stdout = run_cli(*argv, "--format", fmt, text=False)
+    assert to_file.returncode == to_stdout.returncode == 0
+    assert to_file.stdout == b""
+    assert target.read_bytes() == to_stdout.stdout
+
+
 def test_output_to_an_unwritable_path_is_usage_error(tmp_path):
     target = tmp_path / "missing" / "x"
     proc = run_cli("poly", "--target", "eulerian", "--n", "3", "--output", str(target))
@@ -526,43 +542,87 @@ def test_threads_defaults_to_zero_whatever_the_environment(monkeypatch):
     assert seen == [0, 0, 5]
 
 
+# Strings whose JSON text holds the splice marker '"\u0000"' are left out
+# here; `test_json_parts_refuses_a_payload_string_that_reads_as_the_marker`
+# covers them.
+JSON_STRINGS = (st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\u00e9\U0001f600'))
+                .filter(lambda s: '"\\u0000"' not in json.dumps(s)))
 JSON_SCALARS = (
-    st.text(st.characters() | st.sampled_from('"\\\x00\x1f\x7f\n\t\u2028\u00e9\U0001f600'))
+    JSON_STRINGS
     | st.integers() | st.integers(min_value=-10 ** 60, max_value=10 ** 60)
     | st.booleans() | st.none() | st.floats()
 )
 JSON_VALUES = st.recursive(
     JSON_SCALARS,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_STRINGS, inner, max_size=4),
     max_leaves=40,
 )
+PAYLOADS = st.dictionaries(JSON_STRINGS, JSON_VALUES, max_size=3)
 
 
-@settings(max_examples=300, deadline=None)
-@given(JSON_VALUES)
-def test_json_text_is_indented_sorted_json_dumps(value):
-    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+def json_at_depth(value, depth):
+    """``json.dumps(value, indent=2, sort_keys=True)`` as it reads at
+    ``depth`` of a payload: JSON strings hold no raw line break, so every
+    line break is the encoder's."""
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n" + "  " * depth)
 
 
-def test_json_text_keys_and_tuples_as_json_dumps():
-    for value in ({1: "a", 0: [()]}, {None: (1, "b")}, {True: {}}, {2.5: [[]]}, ("x", (1,))):
-        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
-    with pytest.raises(TypeError):
-        cli._json_text({(1, 2): 0})
+def pre_render(value, choose, path=()):
+    """``value`` with each dict value or list item whose path ``choose``
+    picks replaced by a `cli._JsonText` of its own text at its depth."""
+    if isinstance(value, dict):
+        out, items = {}, value.items()
+    elif isinstance(value, list):
+        out, items = [None] * len(value), enumerate(value)
+    else:
+        return value
+    for key, sub in items:
+        sub_path = path + (key,)
+        out[key] = (cli._JsonText(json_at_depth(sub, len(sub_path))) if choose(sub_path)
+                    else pre_render(sub, choose, sub_path))
+    return out
 
 
-def test_json_text_writes_deep_nesting_without_recursion():
-    depth = 3000
-    deep = inner = []
-    for _ in range(depth):
-        inner.append([])
-        inner = inner[0]
-    inner.append(1)
-    with pytest.raises(RecursionError):
-        json.dumps(deep, indent=2, sort_keys=True)
-    expected = ("".join("[\n" + "  " * d for d in range(1, depth + 2)) + "1"
-                + "".join("\n" + "  " * d + "]" for d in range(depth, -1, -1)))
-    assert cli._json_text(deep) == expected
+@settings(max_examples=200, deadline=None)
+@given(PAYLOADS, st.data())
+def test_json_parts_splice_pre_rendered_values_in_place(payload, data):
+    spliced = pre_render(payload, lambda path: data.draw(st.booleans()))
+    assert "".join(cli._json_parts(spliced)) == json.dumps(payload, indent=2, sort_keys=True)
+
+
+LEMMA39_LIKE = {"ok": True, "results": [{"classes": [{"i": 0, "minimal": "1"}], "n": 1},
+                                        {"classes": [], "n": 2}], "suite": "lemma39"}
+
+
+@pytest.mark.parametrize("payload, paths", [
+    (LEMMA39_LIKE, []),  # none at all
+    ({"chains": [[1], []], "n": 3, "tree_json": {"children": [], "skeleton": None}},
+     [("chains",), ("tree_json",)]),  # dict values at depth 1, adjacent in key order
+    (LEMMA39_LIKE, [("results", 0, "classes"), ("results", 1, "classes")]),  # depth 3
+    ({"a": [[1, 2], "x", {"b": None}, [], 4]}, [("a", 0), ("a", 2), ("a", 3)]),  # list items
+    ({"a": [[1, 2], {"b": [3]}]}, [("a", 0), ("a", 1)]),  # two adjacent list items
+])
+def test_json_parts_give_each_pre_rendered_text_a_part_of_its_own(payload, paths):
+    spliced = pre_render(payload, lambda path: path in paths)
+    parts = cli._json_parts(spliced)
+    assert "".join(parts) == json.dumps(payload, indent=2, sort_keys=True)
+    assert len(parts) == 2 * len(paths) + 1
+
+
+@pytest.mark.parametrize("payload", [
+    {"a": "\0"},
+    {"a": "\0", "b": cli._JsonText("1")},
+    {"a": cli._JsonText("1"), "b": ['x"\0']},
+    {'x"\0': cli._JsonText("[]")},
+])
+def test_json_parts_refuses_a_payload_string_that_reads_as_the_marker(payload):
+    with pytest.raises(ValueError, match="marker"):
+        cli._json_parts(payload)
+
+
+def test_json_parts_refuses_what_json_dumps_refuses():
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        cli._json_parts({"a": {1, 2}})
 
 
 def plain_decompose_payload(p):
@@ -615,16 +675,20 @@ def test_decompose_json_is_json_dumps_of_the_plain_payload(capsys):
         assert capsys.readouterr().out == expected, p
 
 
-def plain_tree_json(t):
-    """`trees.tree_json(t)`, built without recursion."""
-    root = {}
-    stack = [(t, root)]
-    while stack:
-        sub, out = stack.pop()
-        out["skeleton"] = None if sub.skeleton is None else list(sub.skeleton)
-        out["children"] = [{} for _ in sub.children]
-        stack.extend(zip(sub.children, out["children"]))
-    return root
+def right_chain_json(t, depth):
+    """``json.dumps(trees.tree_json(t), indent=2, sort_keys=True)`` as it
+    reads at ``depth``, for a tree whose left children are all leaves: each
+    node's own text is ``json.dumps`` of its record with a placeholder for
+    its right child, so no call nests deeper than one node."""
+    heads, tails = [], []
+    while t.skeleton is not None:
+        left, right = t.children
+        record = {"children": [trees.tree_json(left), "@"], "skeleton": list(t.skeleton)}
+        head, tail = json_at_depth(record, depth).split('"@"')
+        heads.append(head)
+        tails.append(tail)
+        t, depth = right, depth + 2
+    return "".join(heads) + json_at_depth(trees.tree_json(t), depth) + "".join(reversed(tails))
 
 
 def stack_depth():
@@ -657,8 +721,6 @@ def test_stats_and_decompose_answer_deep_monotone_inputs():
 
 
 def test_tree_json_text_writes_a_deep_chain_without_recursion():
-    sigma = trees.decompose((4, 5, 2, 3, 9, 8, 1, 6, 7))
-    assert plain_tree_json(sigma) == trees.tree_json(sigma)
     # A chain of 600 binary nodes, rendered under a recursion limit 50 frames
     # above the caller's: a renderer with one frame per level would need 600.
     # (Its text grows with the square of the depth: 5000 levels would be
@@ -666,17 +728,18 @@ def test_tree_json_text_writes_a_deep_chain_without_recursion():
     t = trees.LEAF
     for i in range(600):
         t = trees.node((1, 2) if i % 2 else (2, 1), trees.LEAF, t)
+    short = t
+    for _ in range(590):
+        short = short.children[1]
+    for depth in range(4):
+        assert right_chain_json(short, depth) == json_at_depth(trees.tree_json(short), depth)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 50)
     try:
-        texts = [cli._tree_json_text(t, depth) for depth in range(4)]
+        texts = [cli._tree_json_text(t, depth).text for depth in range(4)]
         with pytest.raises(RecursionError):
             trees.tree_json(t)
     finally:
         sys.setrecursionlimit(limit)
-    plain = plain_tree_json(t)
     for depth, text in enumerate(texts):
-        wrapped, expected = text, plain
-        for _ in range(depth):
-            wrapped, expected = [wrapped], [expected]
-        assert cli._json_text(wrapped) == cli._json_text(expected), depth
+        assert text == right_chain_json(t, depth), depth

@@ -36,6 +36,7 @@ from gammalab.permutations import (
     simple_distribution,
 )
 from gammalab.polys import ONE_PLUS_ST, ST, S_PLUS_T, BivarPoly
+from gammalab.series import closure_series
 from gammalab.trees import (
     LEAF,
     DecompTree,
@@ -237,6 +238,14 @@ def test_closure_distribution_matches_reconstructed_members():
         for n in range(1, 9):
             members = closure_permutations(n, k)
             assert closure_distribution(n, k) == joint_distribution(members, n).poly
+
+
+def test_one_closure_series_holds_every_closure_distribution():
+    # closure_class_reports reads each size's total off one series.
+    for k in (2, 5):
+        C = closure_series(orbits._cut_simple_series(11, k))
+        for n in range(1, 12):
+            assert C.coeff(n) == closure_distribution(n, k), (n, k)
 
 
 def reference_closure_trees(n, k):

@@ -119,6 +119,23 @@ def test_poly_never_stores_zeros():
     assert len(p) == 0 and p.is_zero()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(-3, 3))
+def test_results_equal_the_checking_constructor(data, k):
+    # Each operation builds its result with `from_nonzero`; the checking
+    # constructor drops zero sums, so equality also shows no zero is stored.
+    P, Q = data.draw(bivar_polys(5)), data.draw(bivar_polys(5))
+    pack = Packing(8, 8)
+    assert -P == BivarPoly((m, -v) for m, v in P.items())
+    assert P + Q == BivarPoly([*P.items(), *Q.items()])
+    assert P - Q == BivarPoly([*P.items(), *((m, -v) for m, v in Q.items())])
+    assert P * k == k * P == BivarPoly((m, v * k) for m, v in P.items())
+    assert P * Q == BivarPoly(((p1 + p2, q1 + q2), v1 * v2)
+                              for (p1, q1), v1 in P.items() for (p2, q2), v2 in Q.items())
+    assert pack.unpack(pack.pack(P) - pack.pack(Q)) == P - Q
+    assert BivarPoly.from_nonzero({(1, 2): 3}) == BivarPoly({(1, 2): 3})
+
+
 def test_poly_text_form():
     assert A4.text() == "1 + 10*s*t + s*t^2 + s^2*t + 10*s^2*t^2 + s^3*t^3"
     assert ZERO.text() == "0"
