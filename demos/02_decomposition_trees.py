@@ -2,7 +2,8 @@
 
 Every permutation inflates uniquely from a simple skeleton; recursing yields
 a canonical tree.  This script decomposes a worked example, shows the chain
-structure used by the orbit machinery, and round-trips the bijection.
+structure used by the orbit machinery, prints its shape, and round-trips
+the bijection.
 """
 import itertools
 
@@ -12,11 +13,10 @@ from gammalab import (
     in_closure,
     is_simple,
     reconstruct,
-    simplify,
+    simplified_text,
     tree_text,
 )
 from gammalab.permutations import inflate
-from gammalab.trees import simplified_text
 
 sigma = (4, 5, 2, 3, 9, 8, 1, 6, 7)
 print(f"sigma = {sigma}")
@@ -26,7 +26,9 @@ print(f"sigma = 2413[3412, 21, 1, 12] -> {inflate((2,4,1,3), [(3,4,1,2),(2,1),(1
 tree = decompose(sigma)
 print(f"tree          = {tree_text(tree)}")
 print(f"reconstructed = {reconstruct(tree)}")
-print(f"simplified    = {simplified_text(simplify(tree))}")
+# The shape keeps each label's length only, written as its child count;
+# `verify --suite reduction` groups S_n by this text.
+print(f"simplified    = {simplified_text(tree)}")
 print()
 
 # Maximal chains of 12/21 nodes along rightmost-child links.  Labels must

@@ -64,7 +64,7 @@ from .trees import (
     is_canonical,
     max_skeleton_length,
     reconstruct,
-    simplify,
+    simplified_text,
     tree_text,
 )
 from .orbits import (

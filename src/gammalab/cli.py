@@ -66,11 +66,6 @@ _non_negative = _bounded_int(0)
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=["text", "json", "csv"], default="text")
     parser.add_argument("--output", metavar="PATH", default=None)
-    parser.add_argument("--threads", type=_non_negative, default=0,
-                        help="worker count for the simple-permutation tallies by enumeration, "
-                             "the only ones that read it (poly --target simple --method "
-                             "enumerate, verify --suite conjecture --method enumerate); "
-                             "0 (the default) = one per core")
 
 
 def _methods_help(table: dict[str, dict[str, Route]]) -> str:
@@ -118,6 +113,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help=_long_run_help(ROUTES["verify"], "--max-n"))
     _add_common(p_ver)
 
+    for p in (p_poly, p_ver):
+        p.add_argument("--threads", type=_non_negative, default=0,
+                       help="worker count for the simple-permutation tallies by enumeration, "
+                            "the only ones that read it (poly --target simple --method "
+                            "enumerate, verify --suite conjecture --method enumerate); "
+                            "0 (the default) = one per core")
     return parser
 
 
@@ -408,7 +409,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
         "tree_json": _tree_json_text(t, 1),
         "chains": _chains_json_text(part, 1),
         "odd_chain_count": part.odd_chain_count,
-        "simplified": trees.simplified_text(trees.simplify(t)),
+        "simplified": trees.simplified_text(t),
     }
     _emit(payload, args)
     return EXIT_OK
@@ -515,9 +516,9 @@ ROUTES: dict[str, dict[str, dict[str, Route]]] = {
             "enumerate": Route(_simple_by_enumeration, MAX_ENUMERATION_N, 10),
         },
         "separable": {"trees": Route(lambda n, args: orbits.closure_distribution(n, 2),
-                                     MAX_ENUMERATION_N, 10)},
+                                     orbits.MAX_CLOSURE_SERIES_N, None)},
         "h5": {"trees": Route(lambda n, args: orbits.closure_distribution(n, 5),
-                              MAX_ENUMERATION_N, 10)},
+                              orbits.MAX_CLOSURE_SERIES_N, None)},
     },
     "verify": {
         "conjecture": {

@@ -32,14 +32,16 @@ anything is built.  `closure_trees` builds the trees themselves, size by
 size, for the tests to compare against; the closure polynomials come by
 series inversion (`series.closure_series`), which generates no tree.
 
-The same bookkeeping at the level of *simplified* trees (labels reduced to
-lengths) factors the full two-sided Eulerian polynomial into per-shape
-products, which is what `verify_reduction` checks exhaustively.
+The same bookkeeping at the level of tree shapes (labels reduced to their
+lengths, each shape its `trees.simplified_text`) factors the full two-sided
+Eulerian polynomial into per-shape products, which is what
+`verify_reduction` checks exhaustively.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import re
 from collections import Counter, defaultdict
 from collections.abc import Iterator
 from dataclasses import dataclass, field
@@ -74,7 +76,6 @@ from .trees import (
     LEAF,
     DecompTree,
     Path,
-    SimplifiedTree,
     _skeleton_text,
     _split,
     binary_right_chains,
@@ -309,13 +310,26 @@ def closure_permutations(n: int, k: int) -> list[Permutation]:
     return [reconstruct(t) for t in closure_trees(n, k)]
 
 
+# The order cap of `closure_distribution`, which enumerates nothing: its cost
+# is one series inversion to order n, nearly all of it big-int multiplies.
+# On a 2-vCPU host (Python 3.11.7) a fresh `poly --target h5 --n 56 --format
+# json` took 50-58 s with a VmHWM of 44 MB, and n = 57 took 57-77 s and 45 MB.
+MAX_CLOSURE_SERIES_N = 56
+
+
 def closure_distribution(n: int, k: int) -> BivarPoly:
     """Joint (des, ides) polynomial over the closure members of length n.
 
     The coefficient of x^n in `series.closure_series` of the simple series
-    cut to the lengths 4..k: no tree is generated.
+    cut to the lengths 4..k: no tree is generated, so n is capped by the
+    series order `MAX_CLOSURE_SERIES_N`, not by an enumeration bound.
     """
-    _check_length(n)
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > MAX_CLOSURE_SERIES_N:
+        raise ResourceBoundError(
+            f"the closure series to order {n} exceeds the bound {MAX_CLOSURE_SERIES_N}"
+        )
     if k < 2:
         raise ValueError("k must be at least 2")
     return closure_series(_cut_simple_series(n, k)).coeff(n)
@@ -550,7 +564,7 @@ def closure_class_report(n: int) -> ClosureClassReport:
 
 
 # ---------------------------------------------------------------------------
-# simplified-tree factorization of the full two-sided Eulerian polynomial
+# shape factorization of the full two-sided Eulerian polynomial
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -560,41 +574,49 @@ def _simple_poly(length: int) -> BivarPoly:
     return simple_distribution(length).poly
 
 
-def simplified_class_polynomial(st: SimplifiedTree) -> BivarPoly:
-    """Joint polynomial over all permutations sharing the simplified tree ``st``.
+def simplified_class_polynomial(shape: str) -> BivarPoly:
+    """Joint polynomial over all permutations whose tree has the ``shape``
+    (a `trees.simplified_text`).
 
     A product of one factor per feature: each node of length >= 4 contributes
     the simple joint polynomial of that length, each even chain of 2k binary
     nodes contributes 2(st)^k, and each odd chain of 2k+1 contributes
     (st)^k (1+st).
     """
-    return _factor_product(_factor_key(st))
+    return _factor_product(_factor_key(shape))
 
 
-def _factor_key(st: SimplifiedTree) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The sorted node lengths >= 4 and the sorted chain lengths of ``st``:
-    all that its factor product reads, and shared by many shapes.
+# The nodes of a shape text in preorder: a child count, or "." for a leaf.
+_SHAPE_NODES = re.compile(r"[0-9]+|\.")
 
-    One stack walk; each entry carries the length of the right chain it
-    continues (0 if none), so a chain is counted at the node that ends it.
+
+def _factor_key(shape: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The sorted node lengths >= 4 and the sorted chain lengths of
+    ``shape``: all that its factor product reads, and shared by many shapes.
+
+    One scan of the nodes in preorder.  ``pending`` holds, for each node
+    still to come, the length of the right chain it continues (0 if none),
+    the next node's on top: a chain runs through the second child of each
+    ``2[`` and is counted at the node that ends it.
     """
     lengths: list[int] = []
     chains: list[int] = []
-    stack = [(st, 0)]
-    while stack:
-        nd, position = stack.pop()
-        k = len(nd)
-        if k == 2:
-            stack.append((nd[0], 0))
-            stack.append((nd[1], position + 1))
+    pending = [0]
+    for token in _SHAPE_NODES.findall(shape):
+        position = pending.pop()
+        if token == "2":
+            pending.append(position + 1)
+            pending.append(0)
             continue
         if position:
             chains.append(position)
-        if k == 3:
-            raise StructureError("simplified tree has a node of length 3")
-        if k >= 4:
-            lengths.append(k)
-        stack.extend([(c, 0) for c in nd])
+        if token != ".":
+            k = int(token)
+            if k == 3:
+                raise StructureError("shape has a node of length 3")
+            if k >= 4:
+                lengths.append(k)
+            pending += [0] * k
     return tuple(sorted(lengths)), tuple(sorted(chains))
 
 
@@ -627,7 +649,7 @@ class ReductionReport:
 
 
 def verify_reduction(n: int) -> ReductionReport:
-    """Partition S_n by simplified tree and check the factor product per group.
+    """Partition S_n by tree shape and check the factor product per group.
 
     The groups come from `_simplified_groups`, which walks the permutations
     whose first value a has a < n+1-a (and the middle value of odd n) and
@@ -643,59 +665,62 @@ def verify_reduction(n: int) -> ReductionReport:
     failures: list[str] = []
     total = BivarPoly()
     products: dict[tuple, BivarPoly] = {}  # _factor_key -> its product
-    for st in sorted(groups, key=repr):
-        dist = BivarPoly(groups[st])
-        key = _factor_key(st)
+    for shape in sorted(groups):
+        dist = BivarPoly(groups[shape])
+        key = _factor_key(shape)
         expected = products.get(key)
         if expected is None:
             expected = products[key] = _factor_product(key)
         if dist != expected:
-            failures.append(f"group {st!r}: distribution does not match the factor product")
+            failures.append(f"group {shape}: distribution does not match the factor product")
         total = total + dist
     matches = total == eulerian_distribution(n).poly
     return ReductionReport(n, len(groups), tuple(failures), total, matches)
 
 
-def _simplified_groups(n: int) -> dict[SimplifiedTree, Counter]:
-    """The (des, ides) tally of S_n, grouped by ``simplify(decompose(p))``.
+def _simplified_groups(n: int) -> dict[str, Counter]:
+    """The (des, ides) tally of S_n, grouped by ``simplified_text(decompose(p))``.
 
     No tree is built per permutation: each p costs one root split, one
     `_ShapeIndex` lookup per part and one `des_ides`.  Its (des, ides) is
     read from p itself, not summed over skeletons: that additivity is what
     `verify_reduction` tests.
 
-    Complement keeps ``simplify(decompose(p))`` (it swaps 12 with 21 and each
+    Complement keeps the shape (it swaps 12 with 21 and each
     skeleton with its complement, which has the same length) and maps (d, e)
     to (n-1-d, n-1-e), the `_tally_packing` slot reversal.  So only the first
     values a < n+1-a are walked and each of their (shape, slot) counts is
     added again at the reversed slot; the middle first value of odd n is its
-    own mirror and is walked once.
+    own mirror and is walked once.  The text of each root's shape is made
+    once per distinct part indices.
     """
     _check_length(n)
-    index = _ShapeIndex(n)
-    tally: Counter = Counter()  # tally[part indices, slot d*n + e]
     if n == 1:
-        tally[(), 0] = 1
-    else:
-        key = index.key
-        perms = enumerate_permutations(n)  # lexicographic: (n-1)! per first value
+        return {".": Counter({(0, 0): 1})}
+    index = _ShapeIndex(n)
+    key = index.key
+    tally: Counter = Counter()  # tally[part indices, slot d*n + e]
+    perms = enumerate_permutations(n)  # lexicographic: (n-1)! per first value
 
-        def walk(count: int) -> None:
-            for p in itertools.islice(perms, count):
-                d, e = des_ides(p)
-                tally[key(bytes(p)), d * n + e] += 1
+    def walk(count: int) -> None:
+        for p in itertools.islice(perms, count):
+            d, e = des_ides(p)
+            tally[key(bytes(p)), d * n + e] += 1
 
-        block = math.factorial(n - 1)
-        half, odd = divmod(n, 2)
-        walk(half * block)  # the first values 1..half
-        top = n * n - 1
-        for (parts, slot), c in list(tally.items()):
-            tally[parts, top - slot] += c
-        walk(odd * block)  # the middle first value of odd n, its own mirror
-    shapes = index.shapes
-    groups: defaultdict[SimplifiedTree, Counter] = defaultdict(Counter)
+    block = math.factorial(n - 1)
+    half, odd = divmod(n, 2)
+    walk(half * block)  # the first values 1..half
+    top = n * n - 1
+    for (parts, slot), c in list(tally.items()):
+        tally[parts, top - slot] += c
+    walk(odd * block)  # the middle first value of odd n, its own mirror
+    texts: dict[tuple[int, ...], str] = {}
+    groups: defaultdict[str, Counter] = defaultdict(Counter)
     for (parts, slot), c in tally.items():
-        groups[tuple([shapes[i] for i in parts])][divmod(slot, n)] = c
+        text = texts.get(parts)
+        if text is None:
+            text = texts[parts] = index.text(parts)
+        groups[text][divmod(slot, n)] = c
     return groups
 
 
@@ -707,22 +732,23 @@ _SHAPE_MEMO_MAX = 9
 
 
 class _ShapeIndex(dict):
-    """Pattern (as bytes) -> index in ``shapes`` of its simplified tree.
+    """Pattern (as bytes) -> index in ``shapes`` of its shape text.
 
-    A pattern's simplified tree is the tuple of its root parts' trees, and
-    every part is a shorter pattern, so a missing pattern is indexed from its
-    parts' indices.  A part is standardized by a bytes ``translate``.
+    A pattern's shape is its root parts' shapes under a node of their count,
+    and every part is a shorter pattern, so a missing pattern is indexed from
+    its parts' indices, and a new shape's text is made from its parts' texts.
+    A part is standardized by a bytes ``translate``.
     """
 
     def __init__(self, n: int):
         super().__init__({b"\x01": 0})
-        self.shapes: list[SimplifiedTree] = [()]
+        self.shapes: list[str] = ["."]
         self._by_parts: dict[tuple[int, ...], int] = {}
         # _shift[b] takes each byte v to v - b, standardizing a part with offset b.
         self._shift = [bytes((v - b) % 256 for v in range(256)) for b in range(n)]
 
     def key(self, pattern: bytes) -> tuple[int, ...]:
-        """The indices of the trees of the root parts of ``pattern`` (length >= 2)."""
+        """The indices of the shapes of the root parts of ``pattern`` (length >= 2)."""
         shift = self._shift
         parts = _split(pattern, 0, len(pattern), 0)
         return tuple([self[pattern[x:y].translate(shift[z])] for x, y, z in parts])
@@ -732,7 +758,12 @@ class _ShapeIndex(dict):
         sid = self._by_parts.get(parts)
         if sid is None:
             sid = self._by_parts[parts] = len(self.shapes)
-            self.shapes.append(tuple([self.shapes[i] for i in parts]))
+            self.shapes.append(self.text(parts))
         if len(pattern) <= _SHAPE_MEMO_MAX:
             self[pattern] = sid
         return sid
+
+    def text(self, parts: tuple[int, ...]) -> str:
+        """The text of the shape whose root parts have the shapes ``parts``."""
+        shapes = self.shapes
+        return f"{len(parts)}[{','.join([shapes[i] for i in parts])}]"

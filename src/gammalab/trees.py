@@ -16,11 +16,15 @@ involution machinery in `gammalab.orbits`.
 
 Nodes are addressed by paths: tuples of child indices from the root, so the
 root is ``()`` and its second child is ``(1,)``.
+
+A tree's *shape* keeps only its skeletons' lengths, and is its text:
+`simplified_text` writes each label as its child count, so the tree
+``2413[21[.,.],.,.,.]`` has the shape ``4[2[.,.],.,.,.]``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .errors import StructureError
 from .permutations import Permutation, des_ides, inflate, is_simple, standardize
@@ -344,68 +348,6 @@ def is_canonical(t: DecompTree) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# simplified trees
-# ---------------------------------------------------------------------------
-
-SimplifiedTree = tuple  # leaf = (), internal = tuple of simplified children
-
-def simplify(t: DecompTree) -> SimplifiedTree:
-    """Forget skeletons, keeping only the tree shape (labels become lengths).
-
-    Represented as nested tuples: a leaf is ``()`` and an internal node is the
-    tuple of its simplified children, so its label is the tuple's length.
-    One stack walk lists every node before its subtree; a backward pass over
-    that list finds each node's children done, in order, atop ``done``.
-    """
-    order: list[DecompTree] = []
-    stack = [t]
-    while stack:
-        sub = stack.pop()
-        order.append(sub)
-        stack.extend(sub.children)
-    done: list[SimplifiedTree] = []
-    for sub in reversed(order):
-        k = len(sub.children)
-        if k:
-            done[-k:] = [tuple(done[-k:])]
-        else:
-            done.append(())
-    return done[0]
-
-
-def simplified_text(st: SimplifiedTree) -> str:
-    """Bracketed text with length labels, e.g. ``4[2[2[.,.],.],...]``."""
-    if not st:
-        return "."
-    heads: dict[int, str] = {}
-    parts: list[str] = []
-    append = parts.append
-    stack: list = [st]
-    push, pop = stack.append, stack.pop
-    while stack:
-        item = pop()
-        if item.__class__ is str:
-            append(item)
-            continue
-        k = len(item)
-        head = heads.get(k)
-        if head is None:
-            head = heads[k] = f"{k}["
-        append(head)
-        push("]")
-        for i in range(k - 1, 0, -1):
-            child = item[i]
-            if child:
-                push(child)
-                push(",")
-            else:
-                push(",.")
-        child = item[0]
-        push(child if child else ".")
-    return "".join(parts)
-
-
-# ---------------------------------------------------------------------------
 # rendering
 # ---------------------------------------------------------------------------
 
@@ -416,10 +358,26 @@ def _skeleton_text(skeleton: tuple[int, ...]) -> str:
 
 
 def tree_text(t: DecompTree) -> str:
-    """Canonical bracketed form, '.' for leaves: ``2413[21[12[.,.],12[.,.]],21[.,.],.,12[.,.]]``.
+    """Canonical bracketed form, '.' for leaves: ``2413[21[12[.,.],12[.,.]],21[.,.],.,12[.,.]]``."""
+    return _bracket_text(t, _skeleton_text)
 
-    Written by one stack walk, so a tree of any depth renders.
+
+def simplified_text(t: DecompTree) -> str:
+    """The shape of ``t``: its bracketed form with each label written as its
+    child count, ``4[2[2[.,.],2[.,.]],2[.,.],.,2[.,.]]``.
+
+    >>> simplified_text(decompose((4, 5, 2, 3, 9, 8, 1, 6, 7)))
+    '4[2[2[.,.],2[.,.]],2[.,.],.,2[.,.]]'
     """
+    return _bracket_text(t, lambda skeleton: str(len(skeleton)))
+
+
+def _bracket_text(t: DecompTree, label: Callable[[tuple[int, ...]], str]) -> str:
+    """``t`` in brackets, '.' for a leaf and ``label(skeleton)`` before each
+    node's children: the one writer of `tree_text` and `simplified_text`.
+    One stack walk, so a tree of any depth renders."""
+    if t.skeleton is None:
+        return "."
     heads: dict[tuple[int, ...], str] = {}
     parts: list[str] = []
     append = parts.append
@@ -431,19 +389,21 @@ def tree_text(t: DecompTree) -> str:
             append(item)
             continue
         skeleton = item.skeleton
-        if skeleton is None:
-            append(".")
-            continue
         head = heads.get(skeleton)
         if head is None:
-            head = heads[skeleton] = _skeleton_text(skeleton) + "["
+            head = heads[skeleton] = label(skeleton) + "["
         append(head)
         push("]")
         children = item.children
         for i in range(len(children) - 1, 0, -1):
-            push(children[i])
-            push(",")
-        push(children[0])
+            child = children[i]
+            if child.skeleton is None:
+                push(",.")
+            else:
+                push(child)
+                push(",")
+        child = children[0]
+        push("." if child.skeleton is None else child)
     return "".join(parts)
 
 

@@ -11,8 +11,9 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_trees import random_2413_inflated, reference_shape_text
 
-from gammalab import cli, trees
+from gammalab import cli, orbits, trees
 from gammalab.permutations import (
     direct_sum,
     format_permutation,
@@ -143,6 +144,11 @@ def test_poly_separable():
     assert data["positive"] is True
 
 
+def test_poly_separable_past_the_enumeration_cap_needs_no_long_run():
+    data = run_json("poly", "--target", "separable", "--n", "13")
+    assert sum(term["c"] for term in data["polynomial"]["terms"]) == 27297738  # A006318
+
+
 def test_poly_h5():
     data = run_json("poly", "--target", "h5", "--n", "5")
     assert sum(term["c"] for term in data["polynomial"]["terms"]) == 120
@@ -155,12 +161,17 @@ def test_poly_resource_exit_code():
     assert "--long-run" in proc.stderr
     proc = run_cli("poly", "--target", "eulerian", "--n", "13", "--method", "enumerate")
     assert proc.returncode == 3
-    for args in (("poly", "--target", "h5", "--n", "11"),
-                 ("verify", "--suite", "lemma39", "--max-n", "11")):
-        proc = run_cli(*args)
-        assert proc.returncode == 3
-        assert "--long-run" in proc.stderr
-        assert "Traceback" not in proc.stderr
+    proc = run_cli("verify", "--suite", "lemma39", "--max-n", "11")
+    assert proc.returncode == 3
+    assert "--long-run" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    # The closure series route has an order cap and no long-run gate.
+    start = time.perf_counter()
+    proc = run_cli("poly", "--target", "h5", "--n", str(orbits.MAX_CLOSURE_SERIES_N + 1))
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
     # --long-run passes the enumeration gate; the tree route's own cap stops
     # the run before any size is scored.
     start = time.perf_counter()
@@ -226,7 +237,8 @@ def test_long_run_help_names_exactly_the_routes_that_need_it(command, capsys):
     expected = [(quantity, method, str(route.long_run))
                 for quantity, routes in cli.ROUTES[command].items()
                 for method, route in routes.items() if route.long_run is not None]
-    assert named == expected and len(expected) >= 3
+    # poly: the two enumerate rows; verify: conjecture, reduction and lemma39.
+    assert named == expected and len(expected) >= 2
     assert "full-enumeration" not in text
 
 
@@ -295,9 +307,15 @@ def test_verify_max_n_below_one_is_usage_error():
 
 
 def test_negative_threads_is_usage_error():
-    assert_usage_error(run_cli("stats", "2413", "--threads", "-1"), "--threads")
     proc = run_cli("poly", "--target", "eulerian", "--n", "4", "--threads", "-2")
     assert_usage_error(proc, "--threads")
+    proc = run_cli("verify", "--suite", "system", "--max-n", "4", "--threads", "-1")
+    assert_usage_error(proc, "--threads")
+
+
+def test_threads_is_refused_where_nothing_reads_it():
+    for command, perm in (("stats", "2413"), ("decompose", "2413")):
+        assert_usage_error(run_cli(command, perm, "--threads", "1"), "--threads")
 
 
 def test_verify_system():
@@ -533,12 +551,13 @@ def test_main_serves_requests_back_to_back_like_fresh_processes(capsys):
 
 def test_threads_defaults_to_zero_whatever_the_environment(monkeypatch):
     seen = []
-    monkeypatch.setattr(cli, "cmd_stats", lambda args: seen.append(args.threads) or 0)
+    monkeypatch.setattr(cli, "cmd_poly", lambda args: seen.append(args.threads) or 0)
+    argv = ["poly", "--target", "eulerian", "--n", "4"]
     monkeypatch.delenv("GAMMALAB_THREADS", raising=False)
-    assert cli.main(["stats", "2413"]) == 0
+    assert cli.main(argv) == 0
     monkeypatch.setenv("GAMMALAB_THREADS", "3")
-    assert cli.main(["stats", "2413"]) == 0
-    assert cli.main(["stats", "2413", "--threads", "5"]) == 0
+    assert cli.main(argv) == 0
+    assert cli.main(argv + ["--threads", "5"]) == 0
     assert seen == [0, 0, 5]
 
 
@@ -626,7 +645,8 @@ def test_json_parts_refuses_what_json_dumps_refuses():
 
 
 def plain_decompose_payload(p):
-    """The decompose payload as plain dicts and lists, with `trees.tree_json`."""
+    """The decompose payload as plain dicts and lists, with `trees.tree_json`
+    and the nested-tuple shape reference."""
     t = trees.decompose(p)
     part = trees.binary_right_chains(t)
     return {
@@ -639,7 +659,7 @@ def plain_decompose_payload(p):
                     "odd": len(chain) % 2 == 1}
                    for chain, skeletons in zip(part.chains, part.skeletons)],
         "odd_chain_count": part.odd_chain_count,
-        "simplified": trees.simplified_text(trees.simplify(t)),
+        "simplified": reference_shape_text(t),
     }
 
 
@@ -653,22 +673,13 @@ def random_separable(rng, n):
     return parts[0]
 
 
-def random_inflated(rng, n):
-    """2413 inflated at every size >= 4 by four random shorter parts."""
-    if n < 4:
-        return tuple(rng.sample(range(1, n + 1), n))
-    cuts = sorted(rng.sample(range(1, n), 3))
-    sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
-    return inflate((2, 4, 1, 3), [random_inflated(rng, k) for k in sizes])
-
-
 def test_decompose_json_is_json_dumps_of_the_plain_payload(capsys):
     inputs = [p for n in range(1, 8) for p in itertools.permutations(range(1, n + 1))]
     rng = random.Random(1024)
     for n in (4, 9, 33, 100, 257, 1024):
         for _ in range(2):
             inputs += [tuple(rng.sample(range(1, n + 1), n)), random_separable(rng, n),
-                       random_inflated(rng, n)]
+                       random_2413_inflated(rng, n)]
     for p in inputs:
         assert cli.main(["decompose", " ".join(map(str, p)), "--format", "json"]) == 0
         expected = json.dumps(plain_decompose_payload(p), indent=2, sort_keys=True) + "\n"

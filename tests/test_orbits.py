@@ -1,10 +1,12 @@
-"""Involutions, equivalence classes, and the simplified-tree factorization."""
+"""Involutions, equivalence classes, and the shape factorization."""
 import itertools
 import math
+import re
 import time
 from collections import Counter
 
 import pytest
+from test_trees import reference_shape_text, reference_simplified_text
 
 from gammalab import orbits
 from gammalab.errors import ResourceBoundError, StructureError
@@ -46,7 +48,7 @@ from gammalab.trees import (
     iter_nodes,
     leaf_count,
     reconstruct,
-    simplify,
+    simplified_text,
     tree_des_ides,
     tree_text,
 )
@@ -283,6 +285,16 @@ def test_separable_distribution_counts_are_large_schroeder_numbers():
         assert closure_distribution(n, 2).evaluate_at_one() == r[n - 1]
 
 
+def test_closure_distribution_is_capped_by_series_order_alone():
+    # Past the enumeration bound, and refused past its own cap before any work.
+    assert closure_distribution(13, 2).evaluate_at_one() == 27297738
+    for k in (2, 5):
+        with pytest.raises(ValueError):
+            closure_distribution(0, k)
+        with pytest.raises(ResourceBoundError):
+            closure_distribution(orbits.MAX_CLOSURE_SERIES_N + 1, k)
+
+
 def test_closure_trees_are_canonical():
     from gammalab.trees import is_canonical
     for t in closure_trees(6, 5):
@@ -434,34 +446,35 @@ def test_signature_of_rejects_long_skeletons():
 
 
 # ---------------------------------------------------------------------------
-# simplified-tree factorization
+# shape factorization
 # ---------------------------------------------------------------------------
 
 def test_simplified_polynomial_base_cases():
-    assert simplified_class_polynomial(((), ())) == ONE_PLUS_ST
-    assert simplified_class_polynomial(((), (), (), ())) == simple_distribution(4).poly
+    assert simplified_class_polynomial("2[.,.]") == ONE_PLUS_ST
+    assert simplified_class_polynomial("4[.,.,.,.]") == simple_distribution(4).poly
     assert simple_distribution(4).poly == ST * S_PLUS_T
     # Even chain of two binary nodes along rightmost-child links.
-    assert simplified_class_polynomial(((), ((), ()))) == ST * 2
+    assert simplified_class_polynomial("2[.,2[.,.]]") == ST * 2
     # A binary node hanging off a left child starts its own odd chain.
-    assert simplified_class_polynomial((((), ()), ())) == ONE_PLUS_ST * ONE_PLUS_ST
-    assert simplified_class_polynomial(()) == BivarPoly.const(1)
+    assert simplified_class_polynomial("2[2[.,.],.]") == ONE_PLUS_ST * ONE_PLUS_ST
+    assert simplified_class_polynomial(".") == BivarPoly.const(1)
 
 
 def test_simplified_polynomial_rejects_length_three():
     with pytest.raises(StructureError):
-        simplified_class_polynomial(((), (), ()))
+        simplified_class_polynomial("3[.,.,.]")
+    with pytest.raises(StructureError):
+        orbits._factor_key("3[.,.,.]")
 
 
 def test_simplified_groups_of_s3():
     groups = {}
     for p in all_perms(3):
-        st = simplify(decompose(p))
-        groups.setdefault(st, []).append(p)
+        groups.setdefault(simplified_text(decompose(p)), []).append(p)
     assert len(groups) == 2
-    for st, members in groups.items():
+    for shape, members in groups.items():
         dist = joint_distribution(members, 3).poly
-        assert dist == simplified_class_polynomial(st)
+        assert dist == simplified_class_polynomial(shape)
 
 
 def test_verify_reduction():
@@ -479,7 +492,7 @@ def test_verify_reduction():
 def tree_oracle_groups(n):
     groups = {}
     for p in all_perms(n):
-        groups.setdefault(simplify(decompose(p)), Counter())[des_ides(p)] += 1
+        groups.setdefault(reference_shape_text(decompose(p)), Counter())[des_ides(p)] += 1
     return groups
 
 
@@ -488,7 +501,7 @@ def test_complement_keeps_the_simplified_tree_and_mirrors_des_ides():
     for n in range(1, 9):
         for p in all_perms(n):
             q = complement(p)
-            assert simplify(decompose(q)) == simplify(decompose(p)), p
+            assert simplified_text(decompose(q)) == simplified_text(decompose(p)), p
             d, e = des_ides(p)
             assert des_ides(q) == (n - 1 - d, n - 1 - e), p
 
@@ -506,6 +519,55 @@ def test_reduction_groups_match_the_tree_oracle(monkeypatch):
     for p in all_perms(7):
         index.key(bytes(p))
     assert max(map(len, index)) == 3
+
+
+def shape_tuple(text):
+    """The nested-tuple shape that ``text`` writes: a leaf is ``()`` and a
+    node the tuple of its children's shapes."""
+    open_nodes = [[]]
+    for token in re.findall(r"[0-9]+\[|\.|\]", text):
+        if token == ".":
+            open_nodes[-1].append(())
+        elif token == "]":
+            done = tuple(open_nodes.pop())
+            open_nodes[-1].append(done)
+        else:
+            open_nodes.append([])
+    (shape,) = open_nodes[0]
+    return shape
+
+
+def factor_key_reference(st):
+    """`orbits._factor_key` as a walk of the nested-tuple shape ``st``: each
+    entry carries the length of the right chain it continues (0 if none), so
+    a chain is counted at the node that ends it."""
+    lengths, chains = [], []
+    stack = [(st, 0)]
+    while stack:
+        nd, position = stack.pop()
+        k = len(nd)
+        if k == 2:
+            stack.append((nd[0], 0))
+            stack.append((nd[1], position + 1))
+            continue
+        if position:
+            chains.append(position)
+        if k == 3:
+            raise StructureError("shape has a node of length 3")
+        if k >= 4:
+            lengths.append(k)
+        stack.extend([(c, 0) for c in nd])
+    return tuple(sorted(lengths)), tuple(sorted(chains))
+
+
+def test_factor_key_matches_the_tuple_walk():
+    # Every shape of S_n, n <= 9, read back into tuples: the text scan and
+    # the tuple walk find the same node lengths and chain lengths.
+    for n in range(1, 10):
+        for text in _simplified_groups(n):
+            st = shape_tuple(text)
+            assert reference_simplified_text(st) == text
+            assert orbits._factor_key(text) == factor_key_reference(st), text
 
 
 def factor_product_reference(st, simple_polys):
@@ -535,12 +597,12 @@ def test_reduction_products_shared_by_factor_key_match_the_direct_product():
     products, simple_polys = {}, {}
     groups = 0
     for n in range(1, 9):
-        for st in _simplified_groups(n):
+        for text in _simplified_groups(n):
             groups += 1
-            key = orbits._factor_key(st)
+            key = orbits._factor_key(text)
             if key not in products:
                 products[key] = orbits._factor_product(key)
-            assert products[key] == factor_product_reference(st, simple_polys), st
+            assert products[key] == factor_product_reference(shape_tuple(text), simple_polys), text
     assert (groups, len(products)) == (1608, 74)
 
 

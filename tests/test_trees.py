@@ -1,6 +1,7 @@
 """Decomposition trees: the bijection, chains, canonical form, closures."""
 import itertools
 import random
+import sys
 
 import pytest
 
@@ -20,7 +21,6 @@ from gammalab.trees import (
     node,
     reconstruct,
     simplified_text,
-    simplify,
     subtree_at,
     tree_des_ides,
     tree_json,
@@ -353,15 +353,103 @@ def test_rightmost_child_convention():
 
 
 # ---------------------------------------------------------------------------
-# simplified trees
+# shapes
 # ---------------------------------------------------------------------------
 
-def test_simplify():
-    st = simplify(decompose(SIGMA))
-    assert simplified_text(st) == "4[2[2[.,.],2[.,.]],2[.,.],.,2[.,.]]"
-    assert simplify(LEAF) == ()
-    assert simplify(decompose((2, 4, 1, 3))) == ((), (), (), ())
-    assert simplified_text(simplify(decompose((2, 4, 1, 3)))) == "4[.,.,.,.]"
+def reference_simplify(t):
+    """The shape of ``t`` as nested tuples: a leaf is ``()`` and an internal
+    node the tuple of its children's shapes.  One stack walk lists every
+    node before its subtree; a backward pass over that list finds each
+    node's children done, in order, atop ``done``."""
+    order = []
+    stack = [t]
+    while stack:
+        sub = stack.pop()
+        order.append(sub)
+        stack.extend(sub.children)
+    done = []
+    for sub in reversed(order):
+        k = len(sub.children)
+        if k:
+            done[-k:] = [tuple(done[-k:])]
+        else:
+            done.append(())
+    return done[0]
+
+
+def reference_simplified_text(st):
+    """The bracketed text of the nested-tuple shape ``st``, written by its
+    own stack walk."""
+    if not st:
+        return "."
+    parts = []
+    stack = [st]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        parts.append(f"{len(item)}[")
+        stack.append("]")
+        for i in range(len(item) - 1, 0, -1):
+            stack.append(item[i] if item[i] else ".")
+            stack.append(",")
+        stack.append(item[0] if item[0] else ".")
+    return "".join(parts)
+
+
+def reference_shape_text(t):
+    return reference_simplified_text(reference_simplify(t))
+
+
+def random_2413_inflated(rng, n):
+    """2413 inflated at every size >= 4 by four random shorter parts."""
+    if n < 4:
+        return tuple(rng.sample(range(1, n + 1), n))
+    cuts = sorted(rng.sample(range(1, n), 3))
+    sizes = [b - a for a, b in zip([0] + cuts, cuts + [n])]
+    return inflate((2, 4, 1, 3), [random_2413_inflated(rng, k) for k in sizes])
+
+
+def test_simplified_text_examples():
+    assert simplified_text(decompose(SIGMA)) == "4[2[2[.,.],2[.,.]],2[.,.],.,2[.,.]]"
+    assert simplified_text(LEAF) == "."
+    assert simplified_text(decompose((2, 4, 1, 3))) == "4[.,.,.,.]"
+    assert reference_simplify(LEAF) == ()
+    assert reference_simplify(decompose((2, 4, 1, 3))) == ((), (), (), ())
+
+
+def test_simplified_text_matches_the_tuple_reference():
+    for n in range(1, 9):
+        for p in all_perms(n):
+            t = decompose(p)
+            assert simplified_text(t) == reference_shape_text(t), p
+    rng = random.Random(4242)
+    for length in (4, 9, 30, 100, 257, 400):
+        for _ in range(3):
+            for p in (tuple(rng.sample(range(1, length + 1), length)),
+                      random_separable(rng, length), random_2413_inflated(rng, length)):
+                t = decompose(p)
+                assert simplified_text(t) == reference_shape_text(t), p
+
+
+def test_simplified_text_writes_a_deep_chain_without_recursion():
+    # 3000 binary nodes along right children, written under a recursion
+    # limit 50 frames above the caller's: one frame per level would need 3000.
+    t = LEAF
+    for i in range(3000):
+        t = node((1, 2) if i % 2 else (2, 1), LEAF, t)
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 50)
+    try:
+        text = simplified_text(t)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert text == "2[.," * 3000 + "." + "]" * 3000
+    assert text == reference_shape_text(t)
 
 
 # ---------------------------------------------------------------------------
