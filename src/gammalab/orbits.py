@@ -597,12 +597,15 @@ def _factor_key(shape: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     One scan of the nodes in preorder.  ``pending`` holds, for each node
     still to come, the length of the right chain it continues (0 if none),
     the next node's on top: a chain runs through the second child of each
-    ``2[`` and is counted at the node that ends it.
+    ``2[`` and is counted at the node that ends it.  A text with too few or
+    too many nodes for its child counts raises `StructureError`.
     """
     lengths: list[int] = []
     chains: list[int] = []
     pending = [0]
     for token in _SHAPE_NODES.findall(shape):
+        if not pending:
+            raise StructureError(f"shape text {shape!r} has nodes past its root")
         position = pending.pop()
         if token == "2":
             pending.append(position + 1)
@@ -617,6 +620,8 @@ def _factor_key(shape: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
             if k >= 4:
                 lengths.append(k)
             pending += [0] * k
+    if pending:
+        raise StructureError(f"shape text {shape!r} is missing {len(pending)} node(s)")
     return tuple(sorted(lengths)), tuple(sorted(chains))
 
 

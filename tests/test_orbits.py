@@ -278,16 +278,17 @@ def test_closure_trees_match_the_reference():
 def test_separable_distribution_counts_are_large_schroeder_numbers():
     # r_0 = 1, r_m = r_(m-1) + sum_(i<m) r_i r_(m-1-i); S_n has r_(n-1) separable members.
     r = [1]
-    for m in range(1, 12):
+    for m in range(1, 13):
         r.append(r[-1] + sum(r[i] * r[m - 1 - i] for i in range(m)))
     assert r[:6] == [1, 2, 6, 22, 90, 394]  # OEIS A006318
-    for n in range(1, 13):
+    assert r[12] == 27297738
+    # n = 13 is past the enumeration bound; the series route needs none.
+    for n in range(1, 14):
         assert closure_distribution(n, 2).evaluate_at_one() == r[n - 1]
 
 
 def test_closure_distribution_is_capped_by_series_order_alone():
-    # Past the enumeration bound, and refused past its own cap before any work.
-    assert closure_distribution(13, 2).evaluate_at_one() == 27297738
+    # Refused below order 1 and past its own cap before any work.
     for k in (2, 5):
         with pytest.raises(ValueError):
             closure_distribution(0, k)
@@ -465,6 +466,12 @@ def test_simplified_polynomial_rejects_length_three():
         simplified_class_polynomial("3[.,.,.]")
     with pytest.raises(StructureError):
         orbits._factor_key("3[.,.,.]")
+
+
+@pytest.mark.parametrize("text", ["4[.,.]", "x", "", "2[.,.]2[.,.]", "2[.,.],."])
+def test_simplified_polynomial_rejects_a_malformed_text(text):
+    with pytest.raises(StructureError):
+        simplified_class_polynomial(text)
 
 
 def test_simplified_groups_of_s3():
