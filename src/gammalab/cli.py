@@ -18,7 +18,9 @@ lemma39`` are written as JSON text for their depth in the payload
 answer part by part without ever joining it.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error (a
-stdout closed by its reader included), 3 resource bound exceeded.
+stdout closed by its reader included), 3 resource bound exceeded.  Every
+library error is one ``error:`` line: 3 for a `ResourceBoundError`, 2 for
+any other `GammalabError` or `ValueError`.
 """
 from __future__ import annotations
 
@@ -29,10 +31,10 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import orbits, series, trees
-from .errors import ParseError, ResourceBoundError
+from .errors import GammalabError, ParseError, ResourceBoundError
 from .permutations import (
     MAX_ENUMERATION_N,
     des_ides,
@@ -82,7 +84,11 @@ def _long_run_help(table: dict[str, dict[str, Route]], flag: str) -> str:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: ``parse_args`` keeps no
-    state between calls, so ``main`` can run many requests in one process."""
+    state between calls, so ``main`` can run many requests in one process.
+
+    Each subcommand sets ``run``, a call of its `cmd_*` by name (so a wrapper
+    installed on that name sees it, as with the rows of `ROUTES`), and
+    ``parser``, itself, which reports the arguments it does not take."""
     parser = argparse.ArgumentParser(
         prog="gammalab",
         description="Descent statistics, decomposition trees and gamma-positivity checks.",
@@ -92,10 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_stats = sub.add_parser("stats", help="descent statistics of one permutation")
     p_stats.add_argument("perm", help='permutation text, e.g. "2413" or "2 4 1 3"')
     _add_common(p_stats)
+    p_stats.set_defaults(run=lambda args: cmd_stats(args))
 
     p_dec = sub.add_parser("decompose", help="substitution decomposition tree")
     p_dec.add_argument("perm")
     _add_common(p_dec)
+    p_dec.set_defaults(run=lambda args: cmd_decompose(args))
 
     p_poly = sub.add_parser("poly", help="distribution polynomial and gamma expansion")
     p_poly.add_argument("--target", required=True, choices=list(ROUTES["poly"]))
@@ -104,6 +112,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--long-run", action="store_true",
                         help=_long_run_help(ROUTES["poly"], "--n"))
     _add_common(p_poly)
+    p_poly.set_defaults(run=lambda args: cmd_poly(args))
 
     p_ver = sub.add_parser("verify", help="exhaustive verification suites")
     p_ver.add_argument("--suite", required=True, choices=list(ROUTES["verify"]))
@@ -112,6 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--long-run", action="store_true",
                        help=_long_run_help(ROUTES["verify"], "--max-n"))
     _add_common(p_ver)
+    p_ver.set_defaults(run=lambda args: cmd_verify(args))
 
     for p in (p_poly, p_ver):
         p.add_argument("--threads", type=_non_negative, default=0,
@@ -119,6 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
                             "the only ones that read it (poly --target simple --method "
                             "enumerate, verify --suite conjecture --method enumerate); "
                             "0 (the default) = one per core")
+    for p in sub.choices.values():
+        p.set_defaults(parser=p)
     return parser
 
 
@@ -415,15 +427,13 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-class Route:
+class Route(NamedTuple):
     """One way to compute a poly target's polynomial, or a verify suite's
     ``(ok, results)`` up to ``--max-n``: ``run(n, args)``.  Past ``cap`` it
     refuses n, and past ``long_run`` (None: nowhere) it needs --long-run."""
-    __slots__ = ("run", "cap", "long_run")
-
-    def __init__(self, run: Callable[[int, argparse.Namespace], Any], cap: int,
-                 long_run: int | None):
-        self.run, self.cap, self.long_run = run, cap, long_run
+    run: Callable[[int, argparse.Namespace], Any]
+    cap: int
+    long_run: int | None
 
     def admits(self, n: int, long_run: bool = False) -> bool:
         return n <= self.cap and (long_run or self.long_run is None or n <= self.long_run)
@@ -484,7 +494,7 @@ def _classes_json_text(report: orbits.ClosureClassReport) -> _JsonText:
     text after it up to the next record; the two texts are filled in once
     per kind from one template at depth 4, and one join writes every
     record."""
-    kinds, labels = report.kinds, report.labels
+    kinds, labels = report.classes, report.labels
     pad3, pad4, pad5 = ("\n" + "  " * d for d in (3, 4, 5))
     head = "{" + pad5 + '"i": %d,' + pad5 + '"j": %d,' + pad5 + '"minimal": '
     tail = "," + pad5 + '"size": %d' + pad4 + "}"
@@ -583,25 +593,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extras = build_parser().parse_known_args(argv)
+    if extras:
+        args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
-        if args.command == "stats":
-            return cmd_stats(args)
-        if args.command == "decompose":
-            return cmd_decompose(args)
-        if args.command == "poly":
-            return cmd_poly(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        parser.error(f"unknown command {args.command!r}")
-    except ParseError as exc:
+        return args.run(args)
+    except (GammalabError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ResourceBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    return EXIT_USAGE
+        return EXIT_RESOURCE if isinstance(exc, ResourceBoundError) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -23,9 +23,11 @@ the (des, ides) tally of all its members packed in one int
 (`permutations._tally_packing`, the layout of every (des, ides) tally;
 inflation multiplies tallies), and the node counts of its minimal
 representative, from which its signature follows.  One pass
-(`closure_class_reports`) checks each size as the DP completes it, and
-every class that passes shares one `ClassKind` with the classes of equal
-node counts, and one packed basis element with its parents in the DP.  At
+(`closure_class_reports`) checks each size as the DP completes it.  Its
+report lists the labels and, for each, one `ClassKind` (signature, orbit
+size and polynomial): every class that passes shares its kind with the
+classes of equal node counts, and one packed basis element with its
+parents in the DP.  At
 n = 10 the 85369 classes stand for 909482 trees, and at n = 11 the 424330
 classes for 5753398.  Sizes past `MAX_CLOSURE_TREE_N` are refused before
 anything is built.  `closure_trees` builds the trees themselves, size by
@@ -44,8 +46,8 @@ import math
 import re
 from collections import Counter, defaultdict
 from collections.abc import Iterator
-from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import ExpansionError, ResourceBoundError, StructureError
 from .permutations import (
@@ -154,8 +156,7 @@ def minimal_representative(t: DecompTree) -> DecompTree:
     return _rebuild(t, toggle)
 
 
-@dataclass(frozen=True)
-class ClassSignature:
+class ClassSignature(NamedTuple):
     """Node counts of a minimal representative, determining its orbit polynomial."""
     n: int            # permutation length (leaf count)
     n21: int          # nodes labeled 21
@@ -199,8 +200,7 @@ def signature_of(minimal: DecompTree) -> ClassSignature:
                           odd_chains=binary_right_chains(minimal).odd_chain_count)
 
 
-@dataclass(frozen=True)
-class EquivClass:
+class EquivClass(NamedTuple):
     minimal: DecompTree
     members: frozenset[Permutation]
     signature: ClassSignature
@@ -221,19 +221,15 @@ def equivalence_class(p: Permutation) -> EquivClass:
     # nodes of ``t`` are those of every member.
     moves = [set(chain) for chain in binary_right_chains(t).chains if len(chain) % 2]
     moves += [{path} for path in length4_nodes(t)]
-    seen = {t}
-    queue = [t]
-    while queue:
-        u = queue.pop()
-        for move in moves:
-            v = _rebuild(u, move)
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
+    # The moves act on disjoint nodes and commute, so the orbit is every
+    # combination of them.
+    members = {t}
+    for move in moves:
+        members |= {_rebuild(u, move) for u in members}
     minimal = minimal_representative(t)
     return EquivClass(
         minimal=minimal,
-        members=frozenset(reconstruct(u) for u in seen),
+        members=frozenset(reconstruct(u) for u in members),
         signature=signature_of(minimal),
     )
 
@@ -434,33 +430,36 @@ def _class_tallies(n: int) -> Iterator[dict[str, tuple[int, int]]]:
         yield classes
 
 
-@dataclass(frozen=True)
-class ClassRecord:
-    minimal_text: str
-    size: int
-    distribution: BivarPoly
-    signature: ClassSignature
-
-
-@dataclass
 class ClassKind:
     """What a report reads of a class but its label.  The classes of one
     size with the same node counts that pass every check share one kind; a
-    class that fails one gets its own, read off its own ``packed`` tally."""
-    signature: ClassSignature
-    size: int
-    distribution: BivarPoly
-    packed: int = field(compare=False)  # at the width of the sweep
-    __hash__ = object.__hash__  # each kind is counted as itself
+    class that fails one gets its own, read off its own ``packed`` tally.
+
+    Kinds compare by value, without ``packed``, whose width is the sweep's,
+    and hash by identity: each kind is counted as itself."""
+    __slots__ = ("signature", "size", "distribution", "packed")
+
+    def __init__(self, signature: ClassSignature, size: int, distribution: BivarPoly,
+                 packed: int):
+        self.signature, self.size, self.distribution = signature, size, distribution
+        self.packed = packed
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not ClassKind:
+            return NotImplemented
+        return (self.signature, self.size, self.distribution) == \
+            (other.signature, other.size, other.distribution)
+
+    __hash__ = object.__hash__
 
 
-@dataclass(frozen=True)
-class ClosureClassReport:
-    """The classes of one size in label order, each with its `ClassKind`,
-    and the failures of that size: per class in label order, then classwide."""
+class ClosureClassReport(NamedTuple):
+    """The classes of one size in label order, with the `ClassKind` of each
+    (shared by the classes of equal node counts that pass), and the failures
+    of that size: per class in label order, then classwide."""
     n: int
     labels: list[str]
-    kinds: list[ClassKind]
+    classes: list[ClassKind]
     failures: tuple[str, ...]
     total: BivarPoly
     expansion: BivarGammaExpansion | None  # None when the total has none
@@ -468,13 +467,6 @@ class ClosureClassReport:
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    @cached_property
-    def classes(self) -> tuple[ClassRecord, ...]:
-        """Each class as one record: those with one basis element share its
-        polynomial, and those with equal node counts one signature."""
-        return tuple(ClassRecord(label, kind.size, kind.distribution, kind.signature)
-                     for label, kind in zip(self.labels, self.kinds))
 
 
 def closure_class_reports(max_n: int) -> Iterator[ClosureClassReport]:
@@ -640,8 +632,7 @@ def _factor_product(key: tuple[tuple[int, ...], tuple[int, ...]]) -> BivarPoly:
     return result
 
 
-@dataclass(frozen=True)
-class ReductionReport:
+class ReductionReport(NamedTuple):
     n: int
     group_count: int
     failures: tuple[str, ...]

@@ -15,8 +15,7 @@ import itertools
 import math
 import operator
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import DistributionError, ParseError, ResourceBoundError
 from .polys import BivarPoly, Packing
@@ -365,8 +364,7 @@ def enumerate_simple(n: int) -> Iterator[Permutation]:
 # joint distributions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class JointDistribution:
+class JointDistribution(NamedTuple):
     """The polynomial sum of s^des t^ides over a set of permutations of length n."""
     poly: BivarPoly
     n: int

@@ -16,9 +16,8 @@ univariate analogue uses the basis q^j (1+q)^(m-2j).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import ExpansionError
 
@@ -305,8 +304,7 @@ def gamma_basis_bivariate(i: int, j: int, m: int) -> BivarPoly:
     return ST ** i * S_PLUS_T ** j * ONE_PLUS_ST ** (m - j - 2 * i)
 
 
-@dataclass(frozen=True, eq=True)
-class BivarGammaExpansion:
+class BivarGammaExpansion(NamedTuple):
     """Coefficients of a darga-m palindromic polynomial in the gamma basis."""
     darga: int
     gammas: tuple[tuple[Monomial, int], ...]  # ((i, j), coefficient), sorted
@@ -471,8 +469,7 @@ def gamma_basis_univariate(j: int, m: int) -> UniPoly:
     return UniPoly({j: 1}) * UniPoly({0: 1, 1: 1}) ** (m - 2 * j)
 
 
-@dataclass(frozen=True, eq=True)
-class UniGammaExpansion:
+class UniGammaExpansion(NamedTuple):
     darga: int
     gammas: tuple[tuple[int, int], ...]  # (j, coefficient), sorted
 

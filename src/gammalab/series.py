@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InversionError, ResourceBoundError
 from .permutations import MAX_ENUMERATION_N, simple_distribution
@@ -381,8 +381,7 @@ def _simple_from_inverse(G: PowerSeries) -> PowerSeries:
 # system verification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SystemReport:
+class SystemReport(NamedTuple):
     order: int
     checks: tuple[tuple[str, bool], ...]
 

@@ -23,7 +23,6 @@ A tree's *shape* keeps only its skeletons' lengths, and is its text:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import StructureError
@@ -267,8 +266,7 @@ def in_closure(p: Permutation, k: int) -> bool:
 # binary right chains
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChainPartition:
+class ChainPartition(NamedTuple):
     """The maximal chains of 12/21-labeled nodes along rightmost-child links.
 
     Every node labeled 12 or 21 lies in exactly one chain; chains are listed

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from test_trees import random_2413_inflated, reference_shape_text
 
 from gammalab import cli, trees
+from gammalab.errors import DistributionError, ExpansionError, InversionError, StructureError
 from gammalab.permutations import (
     direct_sum,
     format_permutation,
@@ -308,7 +309,31 @@ def test_negative_threads_is_usage_error():
 
 def test_threads_is_refused_where_nothing_reads_it():
     for command, perm in (("stats", "2413"), ("decompose", "2413")):
-        assert_usage_error(run_cli(command, perm, "--threads", "1"), "--threads")
+        proc = run_cli(command, perm, "--threads", "1")
+        assert_usage_error(proc, "--threads")
+        assert proc.stderr.startswith(f"usage: gammalab {command} ")
+
+
+@pytest.mark.parametrize("error", [StructureError, ExpansionError, InversionError,
+                                   DistributionError, ValueError])
+def test_a_library_error_is_one_usage_error_line(error, monkeypatch, capsys):
+    def fail(n, args):
+        raise error("malformed")
+
+    routes = cli.ROUTES["poly"]["eulerian"]
+    monkeypatch.setitem(routes, "rsk", routes["rsk"]._replace(run=fail))
+    assert cli.main(["poly", "--target", "eulerian", "--n", "4", "--method", "rsk"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: malformed\n"
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    code = ("import sys, gammalab.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=cli_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_verify_system():
@@ -441,9 +466,9 @@ def plain_lemma39_json(max_n):
         expansion = report.expansion
         results.append({
             "n": report.n,
-            "classes": [{"minimal": rec.minimal_text, "size": rec.size,
-                         "i": rec.signature.gamma_i, "j": rec.signature.gamma_j}
-                        for rec in report.classes],
+            "classes": [{"minimal": label, "size": kind.size,
+                         "i": kind.signature.gamma_i, "j": kind.signature.gamma_j}
+                        for label, kind in zip(report.labels, report.classes)],
             "polynomial": {"text": report.total.text(), "terms": report.total.json_terms()},
             "gamma": None if expansion is None else expansion.json_form(),
             "positive": expansion is not None and expansion.is_positive(),

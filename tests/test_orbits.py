@@ -332,11 +332,11 @@ def test_closure_class_report_small():
             groups.setdefault(label, Counter())[de] += 1
             sig = signature_of(nf)
             assert signatures.setdefault(label, sig) == sig
-        assert [rec.minimal_text for rec in rep.classes] == sorted(groups)
-        for rec in rep.classes:
-            assert rec.distribution == BivarPoly(groups[rec.minimal_text])
-            assert rec.size == sum(groups[rec.minimal_text].values())
-            assert rec.signature == signatures[rec.minimal_text]
+        assert rep.labels == sorted(groups)
+        for label, rec in zip(rep.labels, rep.classes, strict=True):
+            assert rec.distribution == BivarPoly(groups[label])
+            assert rec.size == sum(groups[label].values())
+            assert rec.signature == signatures[label]
         # Classes with one basis element share its polynomial, and equal
         # signatures are one object.
         by_ij = {(rec.signature.gamma_i, rec.signature.gamma_j) for rec in rep.classes}
@@ -384,7 +384,7 @@ def test_classes_that_pass_share_one_tally_per_basis_element(monkeypatch):
 
     monkeypatch.setattr(orbits, "_class_tallies", kept)
     for report in closure_class_reports(7):
-        exponents = {(kind.signature.gamma_i, kind.signature.gamma_j) for kind in report.kinds}
+        exponents = {(kind.signature.gamma_i, kind.signature.gamma_j) for kind in report.classes}
         assert len({id(tally) for tally, _ in sizes[-1].values()}) == len(exponents)
     assert len(sizes) == 7
 
