@@ -213,8 +213,9 @@ def _json_parts(payload: object) -> list[str]:
 
 
 def _tree_json_text(t: trees.DecompTree, depth: int) -> _JsonText:
-    """``json.dumps(trees.tree_json(t), indent=2, sort_keys=True)`` as it
-    reads at ``depth`` of the payload, written by one loop over the nodes.
+    """The JSON form of ``t``, ``{"children": [...], "skeleton": [...] |
+    null}``, as ``json.dumps(..., indent=2, sort_keys=True)`` writes it at
+    ``depth`` of the payload, written by one loop over the nodes.
 
     A node at depth d adds its leaf text, or its opening and, after its
     children at depth d + 2, its closing: the skeleton list and the brackets.
@@ -222,12 +223,23 @@ def _tree_json_text(t: trees.DecompTree, depth: int) -> _JsonText:
     once per (skeleton, depth), so a chain of sums reuses the same few strings
     at every level, and a tree of any depth is written without recursion.
 
-    A value at depth 1 is what ``json.dumps`` writes inside a one-item list:
-
-    >>> t = trees.decompose((2, 4, 1, 3, 5))
-    >>> text = json.dumps([trees.tree_json(t)], indent=2, sort_keys=True)
-    >>> text[4:-2] == _tree_json_text(t, 1).text
-    True
+    >>> print(_tree_json_text(trees.decompose((2, 1)), 0).text)
+    {
+      "children": [
+        {
+          "children": [],
+          "skeleton": null
+        },
+        {
+          "children": [],
+          "skeleton": null
+        }
+      ],
+      "skeleton": [
+        2,
+        1
+      ]
+    }
     """
     levels: dict[int, tuple[str, ...]] = {}
     closings: dict[tuple, str] = {}
@@ -280,7 +292,7 @@ def _tree_json_text(t: trees.DecompTree, depth: int) -> _JsonText:
 
 
 def _leaf_json_text(depth: int) -> str:
-    """The text of `trees.tree_json` of a leaf for the value at ``depth``."""
+    """The JSON text of a leaf for the value at ``depth``."""
     pad = "\n" + "  " * depth
     inner = pad + "  "
     return "{" + inner + '"children": [],' + inner + '"skeleton": null' + pad + "}"
@@ -593,8 +605,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args, extras = build_parser().parse_known_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser()
+    args, extras = parser.parse_known_args(argv)
     if extras:
+        # The root parser takes nothing before the subcommand's name but -h,
+        # which exits, so what stands there is its own unknown arguments.
+        before = argv[:argv.index(args.command)]
+        if before:
+            parser.error(f"unrecognized arguments: {' '.join(before)}")
         args.parser.error(f"unrecognized arguments: {' '.join(extras)}")
     try:
         return args.run(args)

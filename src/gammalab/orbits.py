@@ -43,8 +43,9 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
-from collections import Counter, defaultdict
+from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
 from typing import NamedTuple
@@ -257,9 +258,10 @@ def _compositions(n: int, parts: int):
 
 
 # The size cap of the class DP and of `closure_trees`.  On a 2-vCPU host
-# `verify --suite lemma39 --max-n 10` takes about 0.7 s and peaks at about
-# 100 MB, and `--max-n 11 --long-run` about 4-5 s and 480 MB
-# (`closure_class_report(11)` alone: 2.3 s, 330 MB, 424330 classes).  With
+# (fresh processes, three runs each, peak RSS from `wait4`)
+# `verify --suite lemma39 --max-n 10 --format json` takes 0.44-0.77 s and
+# peaks at 88 MB, and `--max-n 11 --long-run` 2.4-3.0 s and 410 MB
+# (`closure_class_report(11)` alone: 2.3-2.4 s, 331 MB, 424330 classes).  With
 # the cap lifted, `--max-n 12 --long-run` took 27 s and 2.6 GB (the checks
 # alone 20 s and 1.9 GB, for 2136070 classes), so n = 12 is refused before
 # anything is built; `closure_trees(11, 5)` already returns 5.75M trees.
@@ -661,8 +663,7 @@ def verify_reduction(n: int) -> ReductionReport:
     failures: list[str] = []
     total = BivarPoly()
     products: dict[tuple, BivarPoly] = {}  # _factor_key -> its product
-    for shape in sorted(groups):
-        dist = BivarPoly(groups[shape])
+    for shape, dist in sorted(groups.items()):
         key = _factor_key(shape)
         expected = products.get(key)
         if expected is None:
@@ -674,55 +675,52 @@ def verify_reduction(n: int) -> ReductionReport:
     return ReductionReport(n, len(groups), tuple(failures), total, matches)
 
 
-def _simplified_groups(n: int) -> dict[str, Counter]:
+def _simplified_groups(n: int) -> dict[str, BivarPoly]:
     """The (des, ides) tally of S_n, grouped by ``simplified_text(decompose(p))``.
 
     No tree is built per permutation: each p costs one root split, one
     `_ShapeIndex` lookup per part and one `des_ides`.  Its (des, ides) is
     read from p itself, not summed over skeletons: that additivity is what
-    `verify_reduction` tests.
+    `verify_reduction` tests.  Each root's parts (their shape indices) keep
+    one flat list of `_tally_packing` slot counts, and only the distinct
+    parts are written as shape texts, at the end.
 
     Complement keeps the shape (it swaps 12 with 21 and each
     skeleton with its complement, which has the same length) and maps (d, e)
-    to (n-1-d, n-1-e), the `_tally_packing` slot reversal.  So only the first
-    values a < n+1-a are walked and each of their (shape, slot) counts is
-    added again at the reversed slot; the middle first value of odd n is its
-    own mirror and is walked once.  The text of each root's shape is made
-    once per distinct part indices.
+    to (n-1-d, n-1-e), the slot reversal.  So only the first values
+    a < n+1-a are walked and each slot list is then added to its own
+    reversal; the middle first value of odd n is its own mirror and is
+    walked once, after that.
     """
     _check_length(n)
     if n == 1:
-        return {".": Counter({(0, 0): 1})}
+        return {".": ONE}
     index = _ShapeIndex(n)
     key = index.key
-    tally: Counter = Counter()  # tally[part indices, slot d*n + e]
+    tallies: dict[tuple[int, ...], list[int]] = {}  # part indices -> slot counts
     perms = enumerate_permutations(n)  # lexicographic: (n-1)! per first value
 
     def walk(count: int) -> None:
         for p in itertools.islice(perms, count):
             d, e = des_ides(p)
-            tally[key(bytes(p)), d * n + e] += 1
+            parts = key(bytes(p))
+            slots = tallies.get(parts)
+            if slots is None:
+                slots = tallies[parts] = [0] * (n * n)
+            slots[d * n + e] += 1
 
     block = math.factorial(n - 1)
-    half, odd = divmod(n, 2)
-    walk(half * block)  # the first values 1..half
-    top = n * n - 1
-    for (parts, slot), c in list(tally.items()):
-        tally[parts, top - slot] += c
-    walk(odd * block)  # the middle first value of odd n, its own mirror
-    texts: dict[tuple[int, ...], str] = {}
-    groups: defaultdict[str, Counter] = defaultdict(Counter)
-    for (parts, slot), c in tally.items():
-        text = texts.get(parts)
-        if text is None:
-            text = texts[parts] = index.text(parts)
-        groups[text][divmod(slot, n)] = c
-    return groups
+    walk(n // 2 * block)  # the first values 1..n//2
+    for parts, slots in tallies.items():
+        tallies[parts] = list(map(operator.add, slots, reversed(slots)))
+    walk(n % 2 * block)  # the middle first value of odd n, its own mirror
+    pack = _tally_packing(n)
+    return {index.text(parts): pack.from_slots(slots) for parts, slots in tallies.items()}
 
 
 # _ShapeIndex keeps the patterns up to this length once met: all of S_1..S_9
 # is 409113 patterns, and `verify --suite reduction --max-n 10` peaks at
-# about 104 MB.  Longer parts (from n = 11) are split again where they occur,
+# about 94 MB.  Longer parts (from n = 11) are split again where they occur,
 # so the index never grows past that.
 _SHAPE_MEMO_MAX = 9
 

@@ -495,11 +495,3 @@ def gamma_expand_univariate(f: UniPoly, m: int) -> UniGammaExpansion:
         raise ExpansionError(f"polynomial {f.text()} is not palindromic of darga {m}")
     out = _peel_univariate({k: v for k, v in f.items()}, m)
     return UniGammaExpansion(m, tuple(sorted(out.items())))
-
-
-def diagonal_profile(P: BivarPoly) -> UniPoly:
-    """Collapse s and t to a single variable: P(q, q) read off the grid."""
-    c: dict[int, int] = {}
-    for (p, q), v in P.items():
-        c[p + q] = c.get(p + q, 0) + v
-    return UniPoly(c)

@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import StructureError
-from .permutations import Permutation, des_ides, inflate, is_simple, standardize
+from .permutations import Permutation, inflate, is_simple, standardize
 
 Path = tuple[int, ...]
 
@@ -48,10 +48,6 @@ class DecompTree(NamedTuple):
 
 
 LEAF = DecompTree(None)
-
-
-def node(skeleton: tuple[int, ...], *children: DecompTree) -> DecompTree:
-    return DecompTree(tuple(skeleton), tuple(children))
 
 
 # ---------------------------------------------------------------------------
@@ -190,26 +186,6 @@ def reconstruct(t: DecompTree) -> Permutation:
     return inflate(t.skeleton, [reconstruct(c) for c in t.children])
 
 
-def tree_des_ides(t: DecompTree) -> tuple[int, int]:
-    """``des_ides(reconstruct(t))`` without rebuilding the permutation.
-
-    Inflation adds both statistics, so they are the sums over the skeletons.
-
-    >>> tree_des_ides(decompose((4, 5, 2, 3, 9, 8, 1, 6, 7)))
-    (3, 4)
-    """
-    d = e = 0
-    stack = [t]
-    while stack:
-        sub = stack.pop()
-        if sub.skeleton is not None:
-            sd, se = des_ides(sub.skeleton)
-            d += sd
-            e += se
-            stack.extend(sub.children)
-    return d, e
-
-
 # ---------------------------------------------------------------------------
 # traversal
 # ---------------------------------------------------------------------------
@@ -225,16 +201,6 @@ def iter_nodes(t: DecompTree, leaves: bool = True) -> Iterator[tuple[Path, Decom
         for i in range(len(children) - 1, -1, -1):
             if leaves or children[i].skeleton is not None:
                 stack.append((path + (i,), children[i]))
-
-
-def subtree_at(t: DecompTree, path: Path) -> DecompTree:
-    for i in path:
-        t = t.children[i]
-    return t
-
-
-def leaf_count(t: DecompTree) -> int:
-    return sum(1 for _, sub in iter_nodes(t) if sub.skeleton is None)
 
 
 def max_skeleton_length(t: DecompTree) -> int:
@@ -403,15 +369,3 @@ def _bracket_text(t: DecompTree, label: Callable[[tuple[int, ...]], str]) -> str
         child = children[0]
         push("." if child.skeleton is None else child)
     return "".join(parts)
-
-
-def tree_json(t: DecompTree) -> dict:
-    """JSON form {skeleton: [...] | null, children: [...]}.
-
-    The CLI writes this form's text directly (`cli._tree_json_text`); this
-    function is the reference its tests compare against.
-    """
-    return {
-        "skeleton": list(t.skeleton) if t.skeleton is not None else None,
-        "children": [tree_json(c) for c in t.children],
-    }

@@ -11,6 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import node, tree_json
 from test_trees import random_2413_inflated, reference_shape_text
 
 from gammalab import cli, trees
@@ -312,6 +313,15 @@ def test_threads_is_refused_where_nothing_reads_it():
         proc = run_cli(command, perm, "--threads", "1")
         assert_usage_error(proc, "--threads")
         assert proc.stderr.startswith(f"usage: gammalab {command} ")
+
+
+def test_an_unknown_option_is_reported_by_the_parser_it_stands_under():
+    # Before the subcommand's name it is the root parser's; after it, the subcommand's.
+    for args, usage in ((("--bogus", "stats", "2413"), "usage: gammalab [-h]"),
+                        (("stats", "2413", "--bogus"), "usage: gammalab stats ")):
+        proc = run_cli(*args)
+        assert_usage_error(proc, "--bogus")
+        assert proc.stderr.startswith(usage)
 
 
 @pytest.mark.parametrize("error", [StructureError, ExpansionError, InversionError,
@@ -663,14 +673,14 @@ def test_json_parts_refuses_what_json_dumps_refuses():
 
 
 def plain_decompose_payload(p):
-    """The decompose payload as plain dicts and lists, with `trees.tree_json`
+    """The decompose payload as plain dicts and lists, with `oracles.tree_json`
     and the nested-tuple shape reference."""
     t = trees.decompose(p)
     part = trees.binary_right_chains(t)
     return {
         "permutation": format_permutation(p),
         "tree": trees.tree_text(t),
-        "tree_json": trees.tree_json(t),
+        "tree_json": tree_json(t),
         "chains": [{"paths": [list(path) for path in chain],
                     "labels": ["".join(map(str, s)) for s in skeletons],
                     "length": len(chain),
@@ -705,19 +715,19 @@ def test_decompose_json_is_json_dumps_of_the_plain_payload(capsys):
 
 
 def right_chain_json(t, depth):
-    """``json.dumps(trees.tree_json(t), indent=2, sort_keys=True)`` as it
+    """``json.dumps(tree_json(t), indent=2, sort_keys=True)`` as it
     reads at ``depth``, for a tree whose left children are all leaves: each
     node's own text is ``json.dumps`` of its record with a placeholder for
     its right child, so no call nests deeper than one node."""
     heads, tails = [], []
     while t.skeleton is not None:
         left, right = t.children
-        record = {"children": [trees.tree_json(left), "@"], "skeleton": list(t.skeleton)}
+        record = {"children": [tree_json(left), "@"], "skeleton": list(t.skeleton)}
         head, tail = json_at_depth(record, depth).split('"@"')
         heads.append(head)
         tails.append(tail)
         t, depth = right, depth + 2
-    return "".join(heads) + json_at_depth(trees.tree_json(t), depth) + "".join(reversed(tails))
+    return "".join(heads) + json_at_depth(tree_json(t), depth) + "".join(reversed(tails))
 
 
 def stack_depth():
@@ -756,18 +766,18 @@ def test_tree_json_text_writes_a_deep_chain_without_recursion():
     # about 550 MB per rendering.)
     t = trees.LEAF
     for i in range(600):
-        t = trees.node((1, 2) if i % 2 else (2, 1), trees.LEAF, t)
+        t = node((1, 2) if i % 2 else (2, 1), trees.LEAF, t)
     short = t
     for _ in range(590):
         short = short.children[1]
     for depth in range(4):
-        assert right_chain_json(short, depth) == json_at_depth(trees.tree_json(short), depth)
+        assert right_chain_json(short, depth) == json_at_depth(tree_json(short), depth)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 50)
     try:
         texts = [cli._tree_json_text(t, depth).text for depth in range(4)]
         with pytest.raises(RecursionError):
-            trees.tree_json(t)
+            tree_json(t)
     finally:
         sys.setrecursionlimit(limit)
     for depth, text in enumerate(texts):

@@ -20,7 +20,6 @@ from gammalab.polys import (
     BivarPoly,
     Packing,
     UniPoly,
-    diagonal_profile,
     gamma_basis_bivariate,
     gamma_basis_univariate,
     gamma_expand_bivariate,
@@ -336,11 +335,6 @@ def test_univariate_basis_roundtrip():
         e = gamma_expand_univariate(poly, m)
         assert e.as_dict() == gammas
         assert e.reconstruct() == poly
-
-
-def test_diagonal_profile():
-    assert diagonal_profile(ST) == UniPoly({2: 1})
-    assert diagonal_profile(A4) == UniPoly({0: 1, 2: 10, 3: 2, 4: 10, 6: 1})
 
 
 def test_unipoly_text():
