@@ -315,13 +315,15 @@ def test_threads_is_refused_where_nothing_reads_it():
         assert proc.stderr.startswith(f"usage: gammalab {command} ")
 
 
-def test_an_unknown_option_is_reported_by_the_parser_it_stands_under():
-    # Before the subcommand's name it is the root parser's; after it, the subcommand's.
-    for args, usage in ((("--bogus", "stats", "2413"), "usage: gammalab [-h]"),
-                        (("stats", "2413", "--bogus"), "usage: gammalab stats ")):
-        proc = run_cli(*args)
-        assert_usage_error(proc, "--bogus")
-        assert proc.stderr.startswith(usage)
+# Before the subcommand's name an option is the root parser's; after it, the subcommand's.
+@pytest.mark.parametrize("args, usage", [
+    (("--bogus", "stats", "2413"), "usage: gammalab [-h]"),
+    (("stats", "2413", "--bogus"), "usage: gammalab stats "),
+], ids=["before_the_subcommand", "after_the_subcommand"])
+def test_an_unknown_option_is_reported_by_the_parser_it_stands_under(args, usage):
+    proc = run_cli(*args)
+    assert_usage_error(proc, "--bogus")
+    assert proc.stderr.startswith(usage)
 
 
 @pytest.mark.parametrize("error", [StructureError, ExpansionError, InversionError,
