@@ -17,6 +17,11 @@ lemma39`` are written as JSON text for their depth in the payload
 `_json_parts` splices the texts back in, so ``--format json`` writes the
 answer part by part without ever joining it.
 
+The module loads only the standard library and `errors` (which holds the
+route caps of `ROUTES`): each `cmd_*` and route function imports the library
+modules it calls where it runs, so a command compiles only what its route
+uses.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or parse error (a
 stdout closed by its reader included), 3 resource bound exceeded.  Every
 library error is one ``error:`` line: 3 for a `ResourceBoundError`, 2 for
@@ -31,20 +36,21 @@ import json
 import os
 import sys
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, NamedTuple
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
-from . import orbits, series, trees
-from .errors import GammalabError, ParseError, ResourceBoundError
-from .permutations import (
+from .errors import (
+    MAX_CLOSURE_SERIES_N,
+    MAX_CLOSURE_TREE_N,
     MAX_ENUMERATION_N,
-    des_ides,
-    descent_set,
-    eulerian_distribution,
-    format_permutation,
-    parse_permutation,
-    simple_distribution,
+    MAX_RSK_N,
+    GammalabError,
+    ParseError,
+    ResourceBoundError,
 )
-from .polys import BivarPoly, gamma_expand_bivariate
+
+if TYPE_CHECKING:
+    from . import orbits, trees
+    from .polys import BivarPoly
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -223,6 +229,7 @@ def _tree_json_text(t: trees.DecompTree, depth: int) -> _JsonText:
     once per (skeleton, depth), so a chain of sums reuses the same few strings
     at every level, and a tree of any depth is written without recursion.
 
+    >>> from gammalab import trees
     >>> print(_tree_json_text(trees.decompose((2, 1)), 0).text)
     {
       "children": [
@@ -311,6 +318,7 @@ def _chains_json_text(part: trees.ChainPartition, depth: int) -> _JsonText:
     indent=2, sort_keys=True)`` writes them at ``depth`` of the payload: each
     path is written with one join.
 
+    >>> from gammalab import trees
     >>> part = trees.binary_right_chains(trees.decompose((1, 3, 2)))
     >>> print(_chains_json_text(part, 0).text)
     [
@@ -401,15 +409,16 @@ def _poly_payload(poly: BivarPoly) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    p = parse_permutation(args.perm)
-    d, e = des_ides(p)
+    from . import permutations, trees
+    p = permutations.parse_permutation(args.perm)
+    d, e = permutations.des_ides(p)
     t = trees.decompose(p)
     longest = trees.max_skeleton_length(t)
     # A leaf or a full-length root skeleton is simple; sums have root 12, skew sums 21.
     payload = {
-        "permutation": format_permutation(p),
+        "permutation": permutations.format_permutation(p),
         "n": len(p),
-        "descent_set": sorted(descent_set(p)),
+        "descent_set": sorted(permutations.descent_set(p)),
         "des": d,
         "ides": e,
         "simple": t.skeleton is None or len(t.skeleton) == len(p),
@@ -423,12 +432,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_decompose(args: argparse.Namespace) -> int:
-    p = parse_permutation(args.perm)
+    from . import permutations, trees
+    p = permutations.parse_permutation(args.perm)
     t = trees.decompose(p)
     part = trees.binary_right_chains(t)
     # The two bulk values, pre-rendered for depth 1 of the payload.
     payload = {
-        "permutation": format_permutation(p),
+        "permutation": permutations.format_permutation(p),
         "tree": trees.tree_text(t),
         "tree_json": _tree_json_text(t, 1),
         "chains": _chains_json_text(part, 1),
@@ -451,15 +461,39 @@ class Route(NamedTuple):
         return n <= self.cap and (long_run or self.long_run is None or n <= self.long_run)
 
 
+def _eulerian_by_dp(n: int, args: argparse.Namespace) -> BivarPoly:
+    from .permutations import eulerian_distribution
+    return eulerian_distribution(n).poly
+
+
+def _eulerian_by_rsk(n: int, args: argparse.Namespace) -> BivarPoly:
+    from . import series
+    return series.rsk_two_sided_eulerian(n)
+
+
 def _simple_by_inversion(n: int, args: argparse.Namespace) -> BivarPoly:
+    from . import series
+    from .polys import BivarPoly
     return series.simple_series(n, method="inversion").coeff(n) if n >= 4 else BivarPoly()
 
 
 def _simple_by_enumeration(n: int, args: argparse.Namespace) -> BivarPoly:
+    from .permutations import simple_distribution
+    from .polys import BivarPoly
     return simple_distribution(n, threads=args.threads).poly if n >= 4 else BivarPoly()
 
 
+def _closure(k: int) -> Callable[[int, argparse.Namespace], BivarPoly]:
+    """The route of the closure of the simple permutations of length <= k."""
+    def run(n: int, args: argparse.Namespace) -> BivarPoly:
+        from . import orbits
+        return orbits.closure_distribution(n, k)
+    return run
+
+
 def _conjecture(max_n: int, args: argparse.Namespace, method: str) -> tuple[bool, list]:
+    from . import series
+    from .polys import gamma_expand_bivariate
     S = series.simple_series(max(max_n, 4), method=method, threads=args.threads)
     results = []
     for n in range(4, max_n + 1):
@@ -469,6 +503,7 @@ def _conjecture(max_n: int, args: argparse.Namespace, method: str) -> tuple[bool
 
 
 def _reduction(max_n: int, args: argparse.Namespace) -> tuple[bool, list]:
+    from . import orbits
     results = []
     for n in range(1, max_n + 1):
         report = orbits.verify_reduction(n)
@@ -478,11 +513,13 @@ def _reduction(max_n: int, args: argparse.Namespace) -> tuple[bool, list]:
 
 
 def _system(max_n: int, args: argparse.Namespace) -> tuple[bool, list]:
+    from . import series
     report = series.verify_system_identities(max_n)
     return report.ok, [{"check": name, "pass": passed} for name, passed in report.checks]
 
 
 def _lemma39(max_n: int, args: argparse.Namespace) -> tuple[bool, list]:
+    from . import orbits
     results = []
     for report in orbits.closure_class_reports(max_n):
         expansion = report.expansion
@@ -522,36 +559,35 @@ def _classes_json_text(report: orbits.ClosureClassReport) -> _JsonText:
 
 
 # Every route of every poly target and verify suite: command -> quantity ->
-# method -> Route; a quantity's first method is its default.  Each row finds
-# its library function by name (a module attribute or a cli global) when it
-# runs, so a wrapper installed on that name sees the CLI's calls too.  The
-# rows that enumerate S_n, or the closure classes, need --long-run past 10.
+# method -> Route; a quantity's first method is its default.  Each row's
+# function imports its library module when it runs and finds its library
+# function there by name, so a wrapper installed on that name sees the CLI's
+# calls too; the caps come from `errors`, so building the table loads no
+# library module.  The rows that enumerate S_n, or the closure classes, need
+# --long-run past 10.
 ROUTES: dict[str, dict[str, dict[str, Route]]] = {
     "poly": {
         "eulerian": {
-            "enumerate": Route(lambda n, args: eulerian_distribution(n).poly,
-                               MAX_ENUMERATION_N, 10),
-            "rsk": Route(lambda n, args: series.rsk_two_sided_eulerian(n), series.MAX_RSK_N, None),
+            "enumerate": Route(_eulerian_by_dp, MAX_ENUMERATION_N, 10),
+            "rsk": Route(_eulerian_by_rsk, MAX_RSK_N, None),
         },
         "simple": {
-            "inversion": Route(_simple_by_inversion, series.MAX_RSK_N, None),
+            "inversion": Route(_simple_by_inversion, MAX_RSK_N, None),
             "enumerate": Route(_simple_by_enumeration, MAX_ENUMERATION_N, 10),
         },
-        "separable": {"trees": Route(lambda n, args: orbits.closure_distribution(n, 2),
-                                     orbits.MAX_CLOSURE_SERIES_N, None)},
-        "h5": {"trees": Route(lambda n, args: orbits.closure_distribution(n, 5),
-                              orbits.MAX_CLOSURE_SERIES_N, None)},
+        "separable": {"trees": Route(_closure(2), MAX_CLOSURE_SERIES_N, None)},
+        "h5": {"trees": Route(_closure(5), MAX_CLOSURE_SERIES_N, None)},
     },
     "verify": {
         "conjecture": {
             "inversion": Route(lambda n, args: _conjecture(n, args, "inversion"),
-                               series.MAX_RSK_N, None),
+                               MAX_RSK_N, None),
             "enumerate": Route(lambda n, args: _conjecture(n, args, "enumerate"),
                                MAX_ENUMERATION_N, 10),
         },
         "reduction": {"enumerate": Route(_reduction, MAX_ENUMERATION_N, 10)},
-        "system": {"rsk": Route(_system, series.MAX_RSK_N, None)},
-        "lemma39": {"trees": Route(_lemma39, orbits.MAX_CLOSURE_TREE_N, 10)},
+        "system": {"rsk": Route(_system, MAX_RSK_N, None)},
+        "lemma39": {"trees": Route(_lemma39, MAX_CLOSURE_TREE_N, 10)},
     },
 }
 
@@ -581,6 +617,7 @@ def _route(args: argparse.Namespace, n: int) -> tuple[str, Route]:
 
 
 def cmd_poly(args: argparse.Namespace) -> int:
+    from .polys import gamma_expand_bivariate
     n = args.n
     method, route = _route(args, n)
     poly = route.run(n, args)

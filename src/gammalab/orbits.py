@@ -50,7 +50,13 @@ from collections.abc import Iterator
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import ExpansionError, ResourceBoundError, StructureError
+from .errors import (
+    MAX_CLOSURE_SERIES_N,
+    MAX_CLOSURE_TREE_N,
+    ExpansionError,
+    ResourceBoundError,
+    StructureError,
+)
 from .permutations import (
     Permutation,
     _check_length,
@@ -93,19 +99,32 @@ _LEN4 = {(2, 4, 1, 3), (3, 1, 4, 2)}
 _TOGGLE = {_ASC: _DESC, _DESC: _ASC, (2, 4, 1, 3): (3, 1, 4, 2), (3, 1, 4, 2): (2, 4, 1, 3)}
 
 
-def _rebuild(t: DecompTree, swap_paths: set[Path], path: Path = ()) -> DecompTree:
-    """Copy ``t``, the subtree at ``path``, with the skeletons at
-    ``swap_paths`` toggled within their pair; ``t`` itself when there are none."""
+def _rebuild(t: DecompTree, swap_paths: set[Path]) -> DecompTree:
+    """Copy ``t`` with the skeletons at ``swap_paths`` toggled within their
+    pair; ``t`` itself when there are none.  One stack walk, so a tree of any
+    depth is rebuilt: each internal node is popped once to queue its internal
+    children, and once more, after them, to build itself from the finished
+    subtrees they left on ``built``."""
     if not swap_paths:
         return t
-    skel = t.skeleton
-    if path in swap_paths:
-        skel = _TOGGLE[skel]
-    children = []  # a loop, not a generator: one interpreter frame per level
-    for i, child in enumerate(t.children):
-        children.append(child if child.skeleton is None
-                        else _rebuild(child, swap_paths, path + (i,)))
-    return DecompTree(skel, tuple(children))
+    built: list[DecompTree] = []
+    stack: list[tuple[Path, DecompTree, bool]] = [((), t, False)]
+    while stack:
+        path, sub, ready = stack.pop()
+        children = sub.children
+        if not ready:
+            stack.append((path, sub, True))
+            for i in range(len(children) - 1, -1, -1):
+                if children[i].skeleton is not None:
+                    stack.append((path + (i,), children[i], False))
+            continue
+        rebuilt = list(children)
+        for i in range(len(children) - 1, -1, -1):
+            if children[i].skeleton is not None:
+                rebuilt[i] = built.pop()
+        skel = sub.skeleton
+        built.append(DecompTree(_TOGGLE[skel] if path in swap_paths else skel, tuple(rebuilt)))
+    return built[0]
 
 
 def flip_odd_chain(t: DecompTree, chain_index: int) -> DecompTree:
@@ -257,17 +276,6 @@ def _compositions(n: int, parts: int):
             yield (first,) + rest
 
 
-# The size cap of the class DP and of `closure_trees`.  On a 2-vCPU host
-# (fresh processes, three runs each, peak RSS from `wait4`)
-# `verify --suite lemma39 --max-n 10 --format json` takes 0.44-0.77 s and
-# peaks at 88 MB, and `--max-n 11 --long-run` 2.4-3.0 s and 410 MB
-# (`closure_class_report(11)` alone: 2.3-2.4 s, 331 MB, 424330 classes).  With
-# the cap lifted, `--max-n 12 --long-run` took 27 s and 2.6 GB (the checks
-# alone 20 s and 1.9 GB, for 2136070 classes), so n = 12 is refused before
-# anything is built; `closure_trees(11, 5)` already returns 5.75M trees.
-MAX_CLOSURE_TREE_N = 11
-
-
 def _check_closure_tree_length(n: int) -> None:
     """Refuse a tree size the pools cannot hold: past `MAX_CLOSURE_TREE_N`
     (or outside what `_check_length` allows)."""
@@ -306,13 +314,6 @@ def closure_trees(n: int, k: int) -> list[DecompTree]:
 def closure_permutations(n: int, k: int) -> list[Permutation]:
     """The members of the closure class in S_n, via tree reconstruction."""
     return [reconstruct(t) for t in closure_trees(n, k)]
-
-
-# The order cap of `closure_distribution`, which enumerates nothing: its cost
-# is one series inversion to order n, nearly all of it big-int multiplies.
-# On a 2-vCPU host (Python 3.11.7) a fresh `poly --target h5 --n 56 --format
-# json` took 50-58 s with a VmHWM of 44 MB, and n = 57 took 57-77 s and 45 MB.
-MAX_CLOSURE_SERIES_N = 56
 
 
 def closure_distribution(n: int, k: int) -> BivarPoly:

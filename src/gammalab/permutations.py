@@ -17,17 +17,10 @@ import operator
 from collections import Counter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import DistributionError, ParseError, ResourceBoundError
+from .errors import MAX_ENUMERATION_N, DistributionError, ParseError, ResourceBoundError
 from .polys import BivarPoly, Packing
 
 Permutation = tuple[int, ...]
-
-# The one enumeration budget (12! is ~479M permutations).  `_check_length`
-# refuses lengths above it for every S_n route (`enumerate_permutations`, the
-# Eulerian DP, the simple walk, `orbits.verify_reduction`); `cli.ROUTES` and
-# `simple_series(method="enumerate")` check it before they start.  The class
-# DP and `closure_trees` are capped lower, by `orbits.MAX_CLOSURE_TREE_N`.
-MAX_ENUMERATION_N = 12
 
 
 def check_permutation(p: Sequence[int]) -> Permutation:

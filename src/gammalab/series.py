@@ -35,17 +35,9 @@ import math
 import operator
 from typing import NamedTuple
 
-from .errors import InversionError, ResourceBoundError
-from .permutations import MAX_ENUMERATION_N, simple_distribution
+from .errors import MAX_ENUMERATION_N, MAX_RSK_N, InversionError, ResourceBoundError
+from .permutations import simple_distribution
 from .polys import ONE, ST, ZERO, BivarPoly, Packing, is_palindromic_bivariate
-
-# The tableau route is one growth-chain walk over (shape, row of the last box)
-# states with descent-count vectors, whose states after m boxes serve order m,
-# so one walk to N gives every order up to N.  It never lists tableaux, so its
-# cost follows the number of partitions, not n! or the tableau count.  The cap
-# is the largest order any benchmark workload runs; raising it waits for a
-# benchmark change that adds a workload past 14.
-MAX_RSK_N = 14
 
 
 class PowerSeries:

@@ -339,13 +339,25 @@ def test_a_library_error_is_one_usage_error_line(error, monkeypatch, capsys):
     assert out == "" and err == "error: malformed\n"
 
 
-def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
-    code = ("import sys, gammalab.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
-                          env=cli_env())
+@pytest.mark.parametrize("argv, loaded", [
+    ([], []),
+    (["poly", "--target", "eulerian", "--n", "6"], ["permutations", "polys"]),
+    (["verify", "--suite", "system", "--max-n", "6"], ["permutations", "polys", "series"]),
+], ids=["import", "poly-eulerian", "verify-system"])
+def test_a_command_loads_only_the_modules_its_route_runs(argv, loaded):
+    """Importing the CLI loads the package, the CLI and `errors` alone, and
+    neither dataclasses nor inspect; a command adds the library modules its
+    route calls, and no others."""
+    code = ("import os, sys, gammalab.cli\n"
+            "if sys.argv[1:]:\n"
+            "    assert gammalab.cli.main(sys.argv[1:] + ['--output', os.devnull]) == 0\n"
+            "print(*sorted(m for m in sys.modules\n"
+            "              if m.partition('.')[0] in ('gammalab', 'dataclasses', 'inspect')))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code, *argv], capture_output=True,
+                          text=True, env=cli_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    expected = ["gammalab", "gammalab.cli", "gammalab.errors"] + [f"gammalab.{m}" for m in loaded]
+    assert proc.stdout.split() == sorted(expected)
 
 
 def test_verify_system():

@@ -221,6 +221,20 @@ def test_minimal_representative_is_normalized():
         assert minimal_representative(m) is m
 
 
+def test_minimal_representative_of_a_deep_chain():
+    # A right chain of 2001 binary nodes led by 21, built by hand because
+    # `decompose` recurses once per level.
+    depth = 2001
+    t = LEAF
+    for level in range(depth - 1, -1, -1):
+        t = DecompTree((2, 1) if level % 2 == 0 else (1, 2), (LEAF, t))
+    m = minimal_representative(t)
+    part = binary_right_chains(m)
+    assert len(part.chains) == 1 and len(part.chains[0]) == depth
+    assert part.skeletons[0][:2] == ((1, 2), (2, 1)) and part.skeletons[0][-1] == (1, 2)
+    assert minimal_representative(m) is m
+
+
 # ---------------------------------------------------------------------------
 # closure generation
 # ---------------------------------------------------------------------------
