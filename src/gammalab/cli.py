@@ -8,14 +8,15 @@ deterministic: the same command and configuration always produce identical
 bytes, in any of the three formats (text, json, csv).
 
 Each command's payload is written as the bytes of ``json.dumps(payload,
-indent=2, sort_keys=True)``; text and csv are rendered from ``json.loads``
-of that text.  The bulk values are pre-rendered: the ``tree_json`` and
-``chains`` of ``decompose`` and each size's ``classes`` of ``verify --suite
-lemma39`` are written as JSON text for their depth in the payload
-(`_tree_json_text`, `_chains_json_text`, `_classes_json_text`) and held in a
-`_JsonText`.  The encoder writes a marker in place of each, and
-`_json_parts` splices the texts back in, so ``--format json`` writes the
-answer part by part without ever joining it.
+indent=2, sort_keys=True)``; text and csv are written from the payload
+itself, its lists in compact JSON (`_compact_json_parts`), so no format
+decodes JSON.  The bulk values are pre-rendered: the children and skeleton
+of ``decompose``'s ``tree_json``, its ``chains``, and each size's
+``classes`` of ``verify --suite lemma39`` are written as JSON text for
+their depth in the payload (`_tree_json`, `_chains_json_text`,
+`_classes_json_text`) and held in a `_JsonText`.  The encoder writes a
+marker in place of each, and `_json_parts` splices the texts back in, so
+``--format json`` writes the answer part by part without ever joining it.
 
 The module loads only the standard library and `errors` (which holds the
 route caps of `ROUTES`): each `cmd_*` and route function imports the library
@@ -34,6 +35,7 @@ import functools
 import itertools
 import json
 import os
+import re
 import sys
 from json.encoder import encode_basestring_ascii
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
@@ -148,16 +150,19 @@ def _emit(payload: dict, args: argparse.Namespace) -> None:
     """Write ``payload`` in the chosen format.
 
     JSON goes out as the parts of `_json_parts`, one write each, so the
-    answer is never joined into one string; text and csv are rendered from
-    ``json.loads`` of the joined parts, so a payload may hold `_JsonText`
-    values and every format sees the same plain data.
+    answer is never joined into one string; text goes out as the parts of
+    `_to_text`, and csv as one string.  Text and csv read the payload itself
+    and write its lists (and csv its dicts) in compact form with
+    `_compact_json_parts`, so a payload may hold `_JsonText` values and
+    every format sees the same data.
     """
-    parts = _json_parts(payload)
     if args.format == "json":
+        parts = _json_parts(payload)
         parts.append("\n")
+    elif args.format == "csv":
+        parts = [_to_csv(payload)]
     else:
-        data = json.loads("".join(parts))
-        parts = [_to_csv(data) if args.format == "csv" else _to_text(data)]
+        parts = _to_text(payload)
     if args.output:
         try:
             with open(args.output, "w", encoding="utf-8", newline="\n") as fh:
@@ -218,21 +223,22 @@ def _json_parts(payload: object) -> list[str]:
     return parts
 
 
-def _tree_json_text(t: trees.DecompTree, depth: int) -> _JsonText:
+def _tree_json(t: trees.DecompTree, depth: int) -> dict:
     """The JSON form of ``t``, ``{"children": [...], "skeleton": [...] |
-    null}``, as ``json.dumps(..., indent=2, sort_keys=True)`` writes it at
-    ``depth`` of the payload, written by one loop over the nodes.
+    null}``, for a payload value at ``depth``: a leaf's two values are plain,
+    and any other node's are written as JSON text for depth + 1, the
+    children list by one loop over the nodes.
 
-    A node at depth d adds its leaf text, or its opening and, after its
-    children at depth d + 2, its closing: the skeleton list and the brackets.
-    Leaf texts, openings and separators are built once per depth and closings
+    Each item adds its leaf text, or its opening and, after its children two
+    levels deeper, its closing: the skeleton list and the brackets.  Leaf
+    texts, openings and separators are built once per depth and closings
     once per (skeleton, depth), so a chain of sums reuses the same few strings
     at every level, and a tree of any depth is written without recursion.
 
     >>> from gammalab import trees
-    >>> print(_tree_json_text(trees.decompose((2, 1)), 0).text)
-    {
-      "children": [
+    >>> form = _tree_json(trees.decompose((2, 1)), 0)
+    >>> print(form["children"].text)
+    [
         {
           "children": [],
           "skeleton": null
@@ -241,34 +247,37 @@ def _tree_json_text(t: trees.DecompTree, depth: int) -> _JsonText:
           "children": [],
           "skeleton": null
         }
-      ],
-      "skeleton": [
+      ]
+    >>> print(form["skeleton"].text)
+    [
         2,
         1
       ]
-    }
     """
+    if t.skeleton is None:
+        return {"children": [], "skeleton": None}
     levels: dict[int, tuple[str, ...]] = {}
     closings: dict[tuple, str] = {}
 
     def level(d: int) -> tuple[str, ...]:
-        """The opening at depth d, the separator of the items at d + 2 (the
-        children and the skeleton's entries), a leaf child with and without
-        that separator, and the two ends of a closing."""
+        """For the items at depth d: a leaf and a node's opening, each
+        without and with the separator before it, and a node's closing: the
+        separator of its skeleton's entries and the two ends around them."""
         pad = "\n" + "  " * d
         inner = pad + "  "
         item = inner + "  "
-        sep = "," + item
-        leaf = _leaf_json_text(d + 2)
-        found = levels[d] = ("{" + inner + '"children": [' + item, sep, sep + leaf, leaf,
+        leaf = "{" + inner + '"children": [],' + inner + '"skeleton": null' + pad + "}"
+        opening = "{" + inner + '"children": [' + item
+        found = levels[d] = (leaf, "," + pad + leaf, opening, "," + pad + opening, "," + item,
                              inner + "]," + inner + '"skeleton": [' + item, inner + "]" + pad + "}")
         return found
 
-    if t.skeleton is None:
-        return _JsonText(_leaf_json_text(depth))
-    parts: list[str] = []
+    pad = "\n" + "  " * (depth + 1)
+    item = pad + "  "
+    root_skeleton = "[" + item + ("," + item).join(map(str, t.skeleton)) + pad + "]"
+    parts = ["[" + item]
     append = parts.append
-    stack: list = [(t, depth)]
+    stack: list = [pad + "]", (t.children, depth + 2)]
     push = stack.append
     pop = stack.pop
     while stack:
@@ -276,33 +285,21 @@ def _tree_json_text(t: trees.DecompTree, depth: int) -> _JsonText:
         if item.__class__ is str:
             append(item)
             continue
-        sub, d = item
-        skeleton = sub.skeleton
-        opening, sep, sep_leaf, leaf, head, tail = levels.get(d) or level(d)
-        closing = closings.get((skeleton, d))
-        if closing is None:
-            closing = closings[skeleton, d] = head + sep.join(map(str, skeleton)) + tail
-        push(closing)
-        children = sub.children
-        d += 2
-        for i in range(len(children) - 1, 0, -1):
+        children, d = item
+        leaf, sep_leaf, opening, sep_opening, sep, head, tail = levels.get(d) or level(d)
+        for i in range(len(children) - 1, -1, -1):
             child = children[i]
-            if child.skeleton is None:
-                push(sep_leaf)
-            else:
-                push((child, d))
-                push(sep)
-        child = children[0]
-        push(leaf if child.skeleton is None else (child, d))
-        append(opening)
-    return _JsonText("".join(parts))
-
-
-def _leaf_json_text(depth: int) -> str:
-    """The JSON text of a leaf for the value at ``depth``."""
-    pad = "\n" + "  " * depth
-    inner = pad + "  "
-    return "{" + inner + '"children": [],' + inner + '"skeleton": null' + pad + "}"
+            skeleton = child.skeleton
+            if skeleton is None:
+                push(sep_leaf if i else leaf)
+                continue
+            closing = closings.get((skeleton, d))
+            if closing is None:
+                closing = closings[skeleton, d] = head + sep.join(map(str, skeleton)) + tail
+            push(closing)
+            push((child.children, d + 2))
+            push(sep_opening if i else opening)
+    return {"children": _JsonText("".join(parts)), "skeleton": _JsonText(root_skeleton)}
 
 
 class _IntTexts(dict):
@@ -370,18 +367,35 @@ def _chains_json_text(part: trees.ChainPartition, depth: int) -> _JsonText:
     return _JsonText("[" + pads[1] + record_sep.join(records) + pads[0] + "]")
 
 
-def _to_text(payload: dict, indent: str = "") -> str:
-    lines: list[str] = []
+def _compact_json_parts(value: object) -> list[str]:
+    """``json.dumps(value, sort_keys=True)`` as a list of parts: each part of
+    `_json_parts` with every line break and indent after a comma made one
+    space and every other one dropped, which is safe because JSON text holds
+    no raw line break inside a string.
+
+    >>> "".join(_compact_json_parts({"b": _JsonText("[\\n  1,\\n  2\\n]"), "a": [[]]}))
+    '{"a": [[]], "b": [1, 2]}'
+    """
+    return [re.sub(r"\n *", "", re.sub(r",\n *", ", ", part)) for part in _json_parts(value)]
+
+
+def _to_text(payload: dict, indent: str = "") -> list[str]:
+    """The text format as a list of parts: one ``key: value`` line per key in
+    sorted order, a dict as a ``key:`` line over its own lines indented, and
+    a list or a `_JsonText` in compact JSON."""
+    parts: list[str] = []
     for key in sorted(payload):
         value = payload[key]
         if isinstance(value, dict):
-            lines.append(f"{indent}{key}:")
-            lines.append(_to_text(value, indent + "  "))
-        elif isinstance(value, list):
-            lines.append(f"{indent}{key}: {json.dumps(value, sort_keys=True)}")
+            parts.append(f"{indent}{key}:\n")
+            parts += _to_text(value, indent + "  ")
+        elif isinstance(value, (list, _JsonText)):
+            parts.append(f"{indent}{key}: ")
+            parts += _compact_json_parts(value)
+            parts.append("\n")
         else:
-            lines.append(f"{indent}{key}: {value}")
-    return "\n".join(line for line in lines if line) + ("\n" if not indent else "")
+            parts.append(f"{indent}{key}: {value}\n")
+    return parts
 
 
 def _to_csv(payload: dict) -> str:
@@ -394,8 +408,8 @@ def _to_csv(payload: dict) -> str:
     rows = ["key,value"]
     for key in sorted(payload):
         value = payload[key]
-        if isinstance(value, (dict, list)):
-            value = json.dumps(value, sort_keys=True)
+        if isinstance(value, (dict, list, _JsonText)):
+            value = "".join(_compact_json_parts(value))
         rows.append(f"{key},{json.dumps(value) if ',' in str(value) else value}")
     return "\n".join(rows) + "\n"
 
@@ -440,7 +454,7 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     payload = {
         "permutation": permutations.format_permutation(p),
         "tree": trees.tree_text(t),
-        "tree_json": _tree_json_text(t, 1),
+        "tree_json": _tree_json(t, 1),
         "chains": _chains_json_text(part, 1),
         "odd_chain_count": part.odd_chain_count,
         "simplified": trees.simplified_text(t),

@@ -1,18 +1,19 @@
-"""Exception types shared across the package, and the four size bounds
-past which the library raises `ResourceBoundError`.
+"""Exception types shared across the package, the four size bounds past
+which the library raises `ResourceBoundError`, and `check_size`, the one
+guard that refuses a size against its bound.
 
 The CLI maps these onto exit codes, so library code should prefer them over
 bare ValueError whenever the failure mode is one a caller may want to
 distinguish (bad input text, a blown enumeration budget, an impossible
 expansion).  The bounds live here, beside the error they raise, so that
 `cli.ROUTES` can name them without loading the modules they bound;
-`permutations`, `series` and `orbits` import them from here.
+`permutations`, `series` and `orbits` refuse a size past them with
+`check_size`.  This module imports nothing.
 """
 
-# The one enumeration budget (12! is ~479M permutations).
-# `permutations._check_length` refuses lengths above it for every S_n route
-# (`enumerate_permutations`, the Eulerian DP, the simple walk,
-# `orbits.verify_reduction`); `cli.ROUTES` and
+# The one enumeration budget (12! is ~479M permutations).  Every S_n route
+# refuses lengths above it (`enumerate_permutations`, the Eulerian DP, the
+# simple walk, `orbits.verify_reduction`); `cli.ROUTES` and
 # `series.simple_series(method="enumerate")` check it before they start.  The
 # class DP and `closure_trees` are capped lower, by `MAX_CLOSURE_TREE_N`.
 MAX_ENUMERATION_N = 12
@@ -42,6 +43,20 @@ MAX_CLOSURE_TREE_N = 11
 # 56 --format json` took 50-58 s with a VmHWM of 44 MB, and n = 57 took
 # 57-77 s and 45 MB.
 MAX_CLOSURE_SERIES_N = 56
+
+
+def check_size(n: int, cap: int, what: str) -> None:
+    """Refuse a size ``n`` of ``what`` below 1, or past its bound ``cap``.
+
+    >>> check_size(13, MAX_ENUMERATION_N, "full enumeration of S_n")
+    Traceback (most recent call last):
+    ...
+    gammalab.errors.ResourceBoundError: full enumeration of S_n: n = 13 is past the bound 12
+    """
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if n > cap:
+        raise ResourceBoundError(f"{what}: n = {n} is past the bound {cap}")
 
 
 class GammalabError(Exception):

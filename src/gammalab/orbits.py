@@ -29,15 +29,20 @@ size and polynomial): every class that passes shares its kind with the
 classes of equal node counts, and one packed basis element with its
 parents in the DP.  At
 n = 10 the 85369 classes stand for 909482 trees, and at n = 11 the 424330
-classes for 5753398.  Sizes past `MAX_CLOSURE_TREE_N` are refused before
-anything is built.  `closure_trees` builds the trees themselves, size by
+classes for 5753398.  `closure_trees` builds the trees themselves, size by
 size, for the tests to compare against; the closure polynomials come by
-series inversion (`series.closure_series`), which generates no tree.
+series inversion (`series.closure_series`), which generates no tree.  The
+functions that need the series import `series` where they run, so the
+shape reduction never loads it.
 
 The same bookkeeping at the level of tree shapes (labels reduced to their
 lengths, each shape its `trees.simplified_text`) factors the full two-sided
 Eulerian polynomial into per-shape products, which is what
 `verify_reduction` checks exhaustively.
+
+Every size is refused by `errors.check_size` before anything is built: the
+tree routes past `MAX_CLOSURE_TREE_N`, the closure series past
+`MAX_CLOSURE_SERIES_N` and the reduction past `MAX_ENUMERATION_N`.
 """
 from __future__ import annotations
 
@@ -48,18 +53,18 @@ import re
 from collections import Counter
 from collections.abc import Iterator
 from functools import lru_cache
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import (
     MAX_CLOSURE_SERIES_N,
     MAX_CLOSURE_TREE_N,
+    MAX_ENUMERATION_N,
     ExpansionError,
-    ResourceBoundError,
     StructureError,
+    check_size,
 )
 from .permutations import (
     Permutation,
-    _check_length,
     _tally_packing,
     des_ides,
     enumerate_permutations,
@@ -77,7 +82,9 @@ from .polys import (
     gamma_basis_bivariate,
     gamma_expand_bivariate,
 )
-from .series import PowerSeries, closure_series
+
+if TYPE_CHECKING:
+    from .series import PowerSeries
 from .trees import (
     _ASC,
     _BINARY,
@@ -276,16 +283,6 @@ def _compositions(n: int, parts: int):
             yield (first,) + rest
 
 
-def _check_closure_tree_length(n: int) -> None:
-    """Refuse a tree size the pools cannot hold: past `MAX_CLOSURE_TREE_N`
-    (or outside what `_check_length` allows)."""
-    _check_length(n)
-    if n > MAX_CLOSURE_TREE_N:
-        raise ResourceBoundError(
-            f"closure trees of size {n} exceed the tree-route bound {MAX_CLOSURE_TREE_N}"
-        )
-
-
 def closure_trees(n: int, k: int) -> list[DecompTree]:
     """All canonical trees with n leaves whose skeletons have length <= k.
 
@@ -293,7 +290,7 @@ def closure_trees(n: int, k: int) -> list[DecompTree]:
     substitution closure of the short simple permutations with S_n.  The
     trees are built size by size from the lists of all smaller ones.
     """
-    _check_closure_tree_length(n)
+    check_size(n, MAX_CLOSURE_TREE_N, "the closure trees")
     if k < 2:
         raise ValueError("k must be at least 2")
     skeletons = [s for ell in range(2, min(k, n) + 1) for s in enumerate_simple(ell)]
@@ -323,21 +320,18 @@ def closure_distribution(n: int, k: int) -> BivarPoly:
     cut to the lengths 4..k: no tree is generated, so n is capped by the
     series order `MAX_CLOSURE_SERIES_N`, not by an enumeration bound.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > MAX_CLOSURE_SERIES_N:
-        raise ResourceBoundError(
-            f"the closure series to order {n} exceeds the bound {MAX_CLOSURE_SERIES_N}"
-        )
+    check_size(n, MAX_CLOSURE_SERIES_N, "the closure series")
     if k < 2:
         raise ValueError("k must be at least 2")
-    return closure_series(_cut_simple_series(n, k)).coeff(n)
+    from . import series
+    return series.closure_series(_cut_simple_series(n, k)).coeff(n)
 
 
 def _cut_simple_series(order: int, k: int) -> PowerSeries:
     """The simple series to ``order``, cut to the lengths 4..k."""
-    return PowerSeries(order, [_simple_poly(ell) if 4 <= ell <= k else ZERO
-                               for ell in range(order + 1)])
+    from . import series
+    return series.PowerSeries(order, [_simple_poly(ell) if 4 <= ell <= k else ZERO
+                                      for ell in range(order + 1)])
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +366,7 @@ def _class_tallies(n: int) -> Iterator[dict[str, tuple[int, int]]]:
     to the minimal form, and one odd chain if L is odd).  The top size
     builds no ``tails``, and drops the smaller sizes before it is yielded.
     """
-    _check_closure_tree_length(n)
+    check_size(n, MAX_CLOSURE_TREE_N, "the closure class DP")
     pack = _tally_packing(n)
     factors: dict[Permutation, int] = {}  # normal-form skeleton -> packed tally of its skeletons
     for ell in (4, 5):
@@ -491,9 +485,10 @@ def closure_class_reports(max_n: int) -> Iterator[ClosureClassReport]:
     element in place of its own equal tally; one that fails keeps its own,
     so its parents fail as well.
     """
-    _check_closure_tree_length(max_n)  # before the series, which has no cap of its own
+    check_size(max_n, MAX_CLOSURE_TREE_N, "the closure class DP")  # before the series
+    from . import series
     pack = _tally_packing(max_n)
-    closure = closure_series(_cut_simple_series(max_n, 5))
+    closure = series.closure_series(_cut_simple_series(max_n, 5))
     for m, classes in enumerate(_class_tallies(max_n), 1):
         failures: list[str] = []
         basis: dict[tuple[int, int], tuple[int, BivarPoly]] = {}
@@ -693,7 +688,7 @@ def _simplified_groups(n: int) -> dict[str, BivarPoly]:
     reversal; the middle first value of odd n is its own mirror and is
     walked once, after that.
     """
-    _check_length(n)
+    check_size(n, MAX_ENUMERATION_N, "full enumeration of S_n")
     if n == 1:
         return {".": ONE}
     index = _ShapeIndex(n)

@@ -17,7 +17,7 @@ import operator
 from collections import Counter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import MAX_ENUMERATION_N, DistributionError, ParseError, ResourceBoundError
+from .errors import MAX_ENUMERATION_N, DistributionError, ParseError, check_size
 from .polys import BivarPoly, Packing
 
 Permutation = tuple[int, ...]
@@ -328,23 +328,13 @@ def skew_sum(p: Permutation, q: Permutation) -> Permutation:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _check_length(n: int) -> None:
-    """Refuse a length below 1 or above the enumeration budget."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > MAX_ENUMERATION_N:
-        raise ResourceBoundError(
-            f"full enumeration of S_{n} exceeds the bound {MAX_ENUMERATION_N}"
-        )
-
-
 def enumerate_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic order.
 
     The order is deterministic, so runs are reproducible and contiguous rank
     ranges can be handed to independent workers.
     """
-    _check_length(n)
+    check_size(n, MAX_ENUMERATION_N, "full enumeration of S_n")
     return itertools.permutations(range(1, n + 1))
 
 
@@ -587,7 +577,7 @@ def eulerian_distribution(n: int, threads: int = 1) -> JointDistribution:
     result is checked: a slot that carried would lower the coefficients' sum
     below n!.
     """
-    _check_length(n)
+    check_size(n, MAX_ENUMERATION_N, "full enumeration of S_n")
     dist = JointDistribution(
         _tally_packing(n).unpack(_eulerian_counts(n)), n, math.factorial(n))
     dist.check()
@@ -600,6 +590,6 @@ def simple_distribution(n: int, threads: int = 1) -> JointDistribution:
     ``threads`` workers (0 = one per core) share the prefix shards of the walk
     from n = POOL_MIN_N on; shorter lengths run in this process.
     """
-    _check_length(n)
+    check_size(n, MAX_ENUMERATION_N, "full enumeration of S_n")
     counts = _simple_counts(n, threads if n >= POOL_MIN_N else 1)
     return JointDistribution(_tally_packing(n).from_slots(counts), n, sum(counts))

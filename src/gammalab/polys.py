@@ -485,9 +485,6 @@ class UniGammaExpansion(NamedTuple):
             total = total + gamma_basis_univariate(j, self.darga) * c
         return total
 
-    def json_form(self) -> dict:
-        return {"darga": self.darga, "gamma": [{"j": j, "c": c} for j, c in self.gammas]}
-
 
 def gamma_expand_univariate(f: UniPoly, m: int) -> UniGammaExpansion:
     """Expand a palindromic univariate polynomial in the basis q^j (1+q)^(m-2j)."""

@@ -35,7 +35,7 @@ import math
 import operator
 from typing import NamedTuple
 
-from .errors import MAX_ENUMERATION_N, MAX_RSK_N, InversionError, ResourceBoundError
+from .errors import MAX_ENUMERATION_N, MAX_RSK_N, InversionError, check_size
 from .permutations import simple_distribution
 from .polys import ONE, ST, ZERO, BivarPoly, Packing, is_palindromic_bivariate
 
@@ -75,16 +75,6 @@ class PowerSeries:
         if isinstance(other, PowerSeries):
             return self.order == other.order and self._c == other._c
         return NotImplemented
-
-    def json_form(self) -> dict:
-        """{order: N, coefficients: [terms of c_1 .. c_N]}; c_0 omitted when zero."""
-        out = {
-            "order": self.order,
-            "coefficients": [c.json_terms() for c in self._c[1:]],
-        }
-        if not self._c[0].is_zero():
-            out["constant"] = self._c[0].json_terms()
-        return out
 
     def __repr__(self) -> str:
         head = ", ".join(f"x^{n}: {c.text()}" for n, c in enumerate(self._c[:5]) if not c.is_zero())
@@ -214,10 +204,7 @@ def _tableau_descent_vectors(N: int) -> list[dict[tuple[int, ...], tuple[int, ..
     the row of the last-added box and the running descent count; the states
     after m boxes are exactly the tableaux of size m.
     """
-    if N < 1:
-        raise ValueError("n must be at least 1")
-    if N > MAX_RSK_N:
-        raise ResourceBoundError(f"tableau route is bounded at n = {MAX_RSK_N}")
+    check_size(N, MAX_RSK_N, "the tableau route")
     # Each state's descent counts are one int, count d at bit w*d: a tally of
     # at most N! tableaux, so no digit carries, and a descent is one shift.
     w = math.factorial(N).bit_length() + 1
@@ -327,10 +314,7 @@ def simple_series(N: int, method: str = "inversion", threads: int = 1) -> PowerS
     if method == "inversion":
         return _simple_from_inverse(functional_inverse(eulerian_series(N)))
     if method == "enumerate":
-        if N > MAX_ENUMERATION_N:
-            raise ResourceBoundError(
-                f"full enumeration is bounded at order {MAX_ENUMERATION_N}; use method='inversion'"
-            )
+        check_size(N, MAX_ENUMERATION_N, "the simple series by enumeration (use method='inversion')")
         coeffs = [ZERO] * 4 + [
             simple_distribution(n, threads=threads).poly for n in range(4, N + 1)
         ]

@@ -20,7 +20,8 @@ def leaf_count(t: DecompTree) -> int:
 
 def tree_json(t: DecompTree) -> dict:
     """JSON form {skeleton: [...] | null, children: [...]}: the reference of
-    ``cli._tree_json_text``.  One level of recursion per tree level."""
+    ``cli._tree_json``, whose two values the CLI writes as text.  One level
+    of recursion per tree level."""
     return {
         "skeleton": list(t.skeleton) if t.skeleton is not None else None,
         "children": [tree_json(c) for c in t.children],

@@ -343,7 +343,9 @@ def test_a_library_error_is_one_usage_error_line(error, monkeypatch, capsys):
     ([], []),
     (["poly", "--target", "eulerian", "--n", "6"], ["permutations", "polys"]),
     (["verify", "--suite", "system", "--max-n", "6"], ["permutations", "polys", "series"]),
-], ids=["import", "poly-eulerian", "verify-system"])
+    (["verify", "--suite", "reduction", "--max-n", "6"],
+     ["orbits", "permutations", "polys", "trees"]),
+], ids=["import", "poly-eulerian", "verify-system", "verify-reduction"])
 def test_a_command_loads_only_the_modules_its_route_runs(argv, loaded):
     """Importing the CLI loads the package, the CLI and `errors` alone, and
     neither dataclasses nor inspect; a command adds the library modules its
@@ -398,9 +400,9 @@ def test_verify_lemma39():
 
 
 def test_lemma39_fails_when_the_series_disagrees(monkeypatch, capsys):
-    from gammalab import orbits
+    from gammalab import orbits, series
     from gammalab.series import PowerSeries
-    monkeypatch.setattr(orbits, "closure_series",
+    monkeypatch.setattr(series, "closure_series",
                         lambda S: PowerSeries(S.order, [BivarPoly.const(n) for n in range(S.order + 1)]))
     report = orbits.closure_class_report(4)
     assert not report.ok
@@ -751,21 +753,52 @@ def stack_depth():
     return depth
 
 
+def reference_text(data, indent=""):
+    """The text format, rendered from the decoded JSON payload ``data``."""
+    lines = []
+    for key in sorted(data):
+        value = data[key]
+        if isinstance(value, dict):
+            lines.append(f"{indent}{key}:")
+            lines.append(reference_text(value, indent + "  "))
+        elif isinstance(value, list):
+            lines.append(f"{indent}{key}: {json.dumps(value, sort_keys=True)}")
+        else:
+            lines.append(f"{indent}{key}: {value}")
+    return "\n".join(line for line in lines if line) + ("\n" if not indent else "")
+
+
+def reference_csv(data):
+    """The csv format of a payload without a polynomial, rendered from the
+    decoded JSON payload ``data``."""
+    rows = ["key,value"]
+    for key in sorted(data):
+        value = data[key]
+        if isinstance(value, (dict, list)):
+            value = json.dumps(value, sort_keys=True)
+        rows.append(f"{key},{json.dumps(value) if ',' in str(value) else value}")
+    return "\n".join(rows) + "\n"
+
+
 def test_stats_and_decompose_answer_deep_monotone_inputs():
     # 599 nested sums or skew sums: the renderers walk the tree without
-    # recursion.  (Text and csv read the JSON back with json.loads, whose
-    # nesting limit they still meet at this depth.)
+    # recursion in every format.
     n = 600
     for perm, label in ((range(1, n + 1), "12"), (range(n, 0, -1), "21")):
         text = " ".join(map(str, perm))
         stats = run_json("stats", text)
         assert stats["n"] == n and stats["in_closure_2"] is True
-        proc = run_cli("decompose", text, "--format", "json")
-        assert proc.returncode == 0, proc.stderr
+        out = {}
+        for fmt in ("json", "text", "csv"):
+            proc = run_cli("decompose", text, "--format", fmt)
+            assert proc.returncode == 0, proc.stderr
+            out[fmt] = proc.stdout
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(limit + 4 * n)  # tree_json nests two levels per node
         try:
-            data = json.loads(proc.stdout)
+            data = json.loads(out["json"])
+            assert out["text"] == reference_text(data)
+            assert out["csv"] == reference_csv(data)
         finally:
             sys.setrecursionlimit(limit)
         assert data["tree"] == f"{label}[" * (n - 1) + "." + ",.]" * (n - 1)
@@ -789,10 +822,21 @@ def test_tree_json_text_writes_a_deep_chain_without_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 50)
     try:
-        texts = [cli._tree_json_text(t, depth).text for depth in range(4)]
+        forms = [cli._tree_json(t, depth) for depth in range(4)]
         with pytest.raises(RecursionError):
             tree_json(t)
     finally:
         sys.setrecursionlimit(limit)
-    for depth, text in enumerate(texts):
+    for depth, form in enumerate(forms):
+        # The node's own text at ``depth``, around its two pre-rendered values.
+        pad, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
+        text = ("{" + inner + '"children": ' + form["children"].text + "," + inner
+                + '"skeleton": ' + form["skeleton"].text + pad + "}")
         assert text == right_chain_json(t, depth), depth
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES, st.data())
+def test_compact_json_parts_are_json_dumps_in_one_line(value, data):
+    spliced = pre_render({"v": value}, lambda path: data.draw(st.booleans()))["v"]
+    assert "".join(cli._compact_json_parts(spliced)) == json.dumps(value, sort_keys=True)

@@ -386,16 +386,3 @@ def test_system_identities_order_six():
 def test_system_identities_trivial_order():
     report = verify_system_identities(1)
     assert report.ok, report.failures()
-
-
-def test_series_json_form():
-    F = eulerian_series(2)
-    assert F.json_form() == {
-        "order": 2,
-        "coefficients": [
-            [{"s": 0, "t": 0, "c": 1}],
-            [{"s": 0, "t": 0, "c": 1}, {"s": 1, "t": 1, "c": 1}],
-        ],
-    }
-    with_const = geometric_inverse(PowerSeries.x(2))
-    assert with_const.json_form()["constant"] == [{"s": 0, "t": 0, "c": 1}]
