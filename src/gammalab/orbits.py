@@ -65,6 +65,7 @@ from .errors import (
 )
 from .permutations import (
     Permutation,
+    _split,
     _tally_packing,
     des_ides,
     enumerate_permutations,
@@ -93,7 +94,6 @@ from .trees import (
     DecompTree,
     Path,
     _skeleton_text,
-    _split,
     binary_right_chains,
     decompose,
     iter_nodes,

@@ -62,9 +62,10 @@ def parse_permutation(text: str) -> Permutation:
     """Parse permutation text.
 
     Accepts comma- or space-separated values ("4 5 2 3 9 8 1 6 7"), and for
-    n <= 9 also a compact digit string ("452398167").  Values are written in
-    ASCII digits 0-9 only; anything else (signs, "1_0", superscript or other
-    Unicode digits) is a ParseError.
+    n <= 9 also a compact digit string ("452398167").  A comma stands
+    between two values, so "2,,1,3" and "2,1," are ParseErrors.  Values are
+    written in ASCII digits 0-9 only; anything else (signs, "1_0",
+    superscript or other Unicode digits) is a ParseError.
 
     >>> parse_permutation("2 4 1 3")
     (2, 4, 1, 3)
@@ -75,6 +76,10 @@ def parse_permutation(text: str) -> Permutation:
     if not text:
         raise ParseError("empty permutation text")
     if "," in text or " " in text or "\t" in text:
+        if "," in text:
+            for idx, field in enumerate(text.split(","), start=1):
+                if not field.strip():
+                    raise ParseError(f"empty permutation entry at position {idx}")
         parts = text.replace(",", " ").split()
         values_list = []
         for idx, token in enumerate(parts, start=1):
@@ -194,6 +199,9 @@ def complement(p: Permutation) -> Permutation:
 # ---------------------------------------------------------------------------
 # blocks, simplicity, indecomposability
 # ---------------------------------------------------------------------------
+# `_split` is the one block finder: the root parts of the decomposition tree.
+# ``p`` is simple iff they are its n entries, and a sum (skew sum) iff they
+# are two parts whose values rise (fall).
 
 def is_block(p: Permutation, i: int, j: int) -> bool:
     """True iff positions i..j (1-based, inclusive) carry an interval of values.
@@ -211,7 +219,8 @@ def is_block(p: Permutation, i: int, j: int) -> bool:
 
 
 def is_simple(p: Permutation) -> bool:
-    """True iff ``p`` has no proper blocks (only singletons and the whole line).
+    """True iff ``p`` has no proper blocks (only singletons and the whole line),
+    i.e. its root split has one part per entry.
 
     >>> is_simple((3, 5, 1, 7, 2, 4, 6))
     True
@@ -228,42 +237,105 @@ def is_simple(p: Permutation) -> bool:
         if v - prev == 1 or prev - v == 1:
             return False
         prev = v
-    for i in range(n - 2):
-        lo = hi = p[i]
-        for j in range(i + 1, n):
-            v = p[j]
-            if v < lo:
-                lo = v
-            elif v > hi:
-                hi = v
-            if hi - lo == j - i and j > i + 1 and not (i == 0 and j == n - 1):
-                return False
-    return True
+    return len(_split(p, 0, n, 0)) == n
 
 
 def is_sum_indecomposable(p: Permutation) -> bool:
-    """True iff ``p`` is not a direct sum, i.e. no proper prefix holds 1..i."""
-    mx = 0
-    for i in range(len(p) - 1):
-        v = p[i]
-        if v > mx:
-            mx = v
-        if mx == i + 1:
-            return False
-    return True
+    """True iff ``p`` is not a direct sum: its root parts are not two with rising values."""
+    parts = _split(p, 0, len(p), 0) if len(p) > 1 else ()
+    return len(parts) != 2 or parts[0][2] > parts[1][2]
 
 
 def is_skew_indecomposable(p: Permutation) -> bool:
-    """True iff ``p`` is not a skew sum, i.e. no proper prefix holds the top i values."""
-    n = len(p)
-    mn = n + 1
-    for i in range(n - 1):
+    """True iff ``p`` is not a skew sum: its root parts are not two with falling values."""
+    parts = _split(p, 0, len(p), 0) if len(p) > 1 else ()
+    return len(parts) != 2 or parts[0][2] < parts[1][2]
+
+
+Part = tuple[int, int, int]  # (start, stop, base) of a segment holding an interval
+
+
+def _split(p: Permutation, start: int, stop: int, base: int) -> list[Part]:
+    """The root parts of the tree of p[start:stop] (length >= 2, values
+    base+1..base+n), as (start, stop, base).
+
+    Every part holds an interval of values, so it is passed on as its
+    positions and value offset.  The root's skeleton is the standardized
+    list of the parts' bases; it is left to the caller.  `trees.decompose`
+    builds it, the reduction's shape index never reads it, and the three
+    predicates above need only the parts' count and the order of two bases.
+    ``p`` may be any sequence of ints, bytes included.
+
+    >>> _split((2, 1, 3, 5, 4), 0, 5, 0)
+    [(0, 3, 0), (3, 5, 3)]
+    >>> _split((3, 4, 1, 2), 0, 4, 0)
+    [(0, 2, 2), (2, 4, 0)]
+    >>> _split((4, 5, 2, 3, 9, 8, 1, 6, 7), 0, 9, 0)
+    [(0, 4, 1), (4, 6, 7), (6, 7, 0), (7, 9, 5)]
+
+    One right-to-left pass looks at every proper suffix that is an interval.
+    It stops at the shortest one holding the top values (a sum: its lowest
+    value is base + i - start + 1) or the bottom values (a skew sum: its
+    highest is base + stop - i).  That suffix is the last sum or skew
+    component, so the left part is as long as possible, repeated sums chain
+    through left children, and a binary node costs the length of its last
+    component.  No segment is both a sum and a skew sum.
+
+    Otherwise the root is a simple quotient of length >= 4 whose children
+    are the maximal proper blocks.  They are disjoint here, so each is the
+    longest interval ending where the block to its right begins: the pass
+    has found the last one, and a scan leftwards finds each of the others.
+    The scan for the block ending at position j stops once the value range
+    of p[i..j] reaches into the block to its right: that block's values are
+    an interval without p[j], and the range only grows as i falls, so no
+    longer p[i'..j] is an interval.  A range holding p[j] meets that block
+    exactly when it passes the block's lowest value: from above when the
+    block lies below p[j] (``below``), from below when it lies above
+    (``above``).
+    """
+    last = stop - 1
+    top = base - start + 1  # a suffix from i holds the top values iff its lowest is top + i
+    bottom = base + stop    # ... and the bottom values iff its highest is bottom - i
+    lo = hi = p[last]
+    for i in range(last, start, -1):
         v = p[i]
-        if v < mn:
-            mn = v
-        if mn == n - i:
-            return False
-    return True
+        if v < lo:
+            lo = v
+        elif v > hi:
+            hi = v
+        if hi - lo + i == last:
+            if lo == top + i:
+                return [(start, i, base), (i, stop, base + i - start)]
+            if hi == bottom - i:
+                return [(start, i, base + stop - i), (i, stop, base)]
+            first, low = i, lo
+    parts = [(first, stop, low - 1)]
+    ceiling = base + stop - start + 1  # above every value
+    j = first - 1
+    while j >= start:
+        x = p[j]
+        if low < x:
+            below, above = low, ceiling
+        else:
+            below, above = 0, low
+        lo = hi = low = x
+        first = j
+        for i in range(j - 1, start - 1, -1):
+            v = p[i]
+            if v < lo:
+                if v < below:
+                    break
+                lo = v
+            elif v > hi:
+                if v > above:
+                    break
+                hi = v
+            if hi - lo == j - i:
+                first, low = i, lo
+        parts.append((first, j + 1, low - 1))
+        j = first - 1
+    parts.reverse()
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +364,13 @@ def inflate(skeleton: Permutation, parts: Sequence[Permutation]) -> Permutation:
     k = len(skeleton)
     if len(parts) != k:
         raise ValueError(f"skeleton of length {k} needs {k} parts, got {len(parts)}")
-    sizes = [len(a) for a in parts]
-    offsets = [0] * k
-    for i in range(k):
-        si = skeleton[i]
-        offsets[i] = sum(sizes[j] for j in range(k) if skeleton[j] < si)
     out: list[int] = []
-    for i in range(k):
-        off = offsets[i]
-        out.extend(v + off for v in parts[i])
+    for i, si in enumerate(skeleton):
+        off = 0
+        for j in range(k):
+            if skeleton[j] < si:
+                off += len(parts[j])
+        out += [v + off for v in parts[i]]
     return tuple(out)
 
 

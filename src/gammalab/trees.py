@@ -6,8 +6,9 @@ permutation (its skeleton) by shorter permutations; for skeleton 12 the
 expression is made unique by requiring the second part sum-indecomposable,
 and dually for 21.  Recursing gives a canonical tree whose leaves are the
 entries and whose internal nodes carry simple skeletons.  ``decompose`` builds
-this tree, ``reconstruct`` inverts it, and the two are mutually inverse
-bijections between S_n and the canonical trees with n leaves.
+this tree by applying the root split `permutations._split` at every node,
+``reconstruct`` inverts it, and the two are mutually inverse bijections
+between S_n and the canonical trees with n leaves.
 
 With the uniqueness convention above, following rightmost-child links through
 nodes labeled 12 or 21 always alternates between the two labels.  A maximal
@@ -26,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import StructureError
-from .permutations import Permutation, inflate, is_simple, standardize
+from .permutations import Permutation, _split, inflate, is_simple, standardize
 
 Path = tuple[int, ...]
 
@@ -81,109 +82,37 @@ def _decompose(p: Permutation, start: int, stop: int, base: int) -> DecompTree:
                       tuple(_decompose(p, *part) for part in parts))
 
 
-Part = tuple[int, int, int]  # (start, stop, base) of a segment holding an interval
-
-
-def _split(p: Permutation, start: int, stop: int, base: int) -> list[Part]:
-    """The root parts of the tree of p[start:stop] (length >= 2, values
-    base+1..base+n), as (start, stop, base).
-
-    Every part holds an interval of values, so it is passed on as its
-    positions and value offset.  The root's skeleton is the standardized
-    list of the parts' bases; it is left to the caller, since the
-    reduction's shape index never reads it.  ``p`` may be any sequence of
-    ints, bytes included.
-
-    >>> _split((2, 1, 3, 5, 4), 0, 5, 0)
-    [(0, 3, 0), (3, 5, 3)]
-    >>> _split((3, 4, 1, 2), 0, 4, 0)
-    [(0, 2, 2), (2, 4, 0)]
-    >>> _split((4, 5, 2, 3, 9, 8, 1, 6, 7), 0, 9, 0)
-    [(0, 4, 1), (4, 6, 7), (6, 7, 0), (7, 9, 5)]
-
-    One right-to-left pass looks at every proper suffix that is an interval.
-    It stops at the shortest one holding the top values (a sum: its lowest
-    value is base + i - start + 1) or the bottom values (a skew sum: its
-    highest is base + stop - i).  That suffix is the last sum or skew
-    component, so the left part is as long as possible, repeated sums chain
-    through left children, and a binary node costs the length of its last
-    component.  No segment is both a sum and a skew sum.
-
-    Otherwise the root is a simple quotient of length >= 4 whose children
-    are the maximal proper blocks.  They are disjoint here, so each is the
-    longest interval ending where the block to its right begins: the pass
-    has found the last one, and a scan leftwards finds each of the others.
-    The scan for the block ending at position j stops once the value range
-    of p[i..j] reaches into the block to its right: that block's values are
-    an interval without p[j], and the range only grows as i falls, so no
-    longer p[i'..j] is an interval.  A range holding p[j] meets that block
-    exactly when it passes the block's lowest value: from above when the
-    block lies below p[j] (``below``), from below when it lies above
-    (``above``).
-    """
-    last = stop - 1
-    top = base - start + 1  # a suffix from i holds the top values iff its lowest is top + i
-    bottom = base + stop    # ... and the bottom values iff its highest is bottom - i
-    lo = hi = p[last]
-    for i in range(last, start, -1):
-        v = p[i]
-        if v < lo:
-            lo = v
-        elif v > hi:
-            hi = v
-        if hi - lo + i == last:
-            if lo == top + i:
-                return [(start, i, base), (i, stop, base + i - start)]
-            if hi == bottom - i:
-                return [(start, i, base + stop - i), (i, stop, base)]
-            first, low = i, lo
-    parts = [(first, stop, low - 1)]
-    ceiling = base + stop - start + 1  # above every value
-    j = first - 1
-    while j >= start:
-        x = p[j]
-        if low < x:
-            below, above = low, ceiling
-        else:
-            below, above = 0, low
-        lo = hi = low = x
-        first = j
-        for i in range(j - 1, start - 1, -1):
-            v = p[i]
-            if v < lo:
-                if v < below:
-                    break
-                lo = v
-            elif v > hi:
-                if v > above:
-                    break
-                hi = v
-            if hi - lo == j - i:
-                first, low = i, lo
-        parts.append((first, j + 1, low - 1))
-        j = first - 1
-    parts.reverse()
-    return parts
-
-
 def reconstruct(t: DecompTree) -> Permutation:
     """Invert ``decompose`` by repeated inflation.
 
     Raises StructureError when the tree is malformed (skeleton not a
-    permutation, or child count differing from skeleton length).
+    permutation, or child count differing from skeleton length), naming
+    the first such node in preorder.  One stack walk, so a tree of any depth
+    is inverted: each internal node is popped once to be checked and to
+    queue its children, and once more, after them, to inflate its skeleton
+    by the permutations they left on ``built``.
     """
-    if t.skeleton is None:
-        if t.children:
-            raise StructureError("leaf node must not have children")
-        return (1,)
-    k = len(t.skeleton)
-    if sorted(t.skeleton) != list(range(1, k + 1)):
-        raise StructureError(f"skeleton {t.skeleton} is not a permutation")
-    if len(t.children) != k:
-        raise StructureError(
-            f"skeleton of length {k} has {len(t.children)} children"
-        )
-    return inflate(t.skeleton, [reconstruct(c) for c in t.children])
+    built: list[Permutation] = []
+    stack: list[tuple[DecompTree, bool]] = [(t, False)]
+    while stack:
+        sub, ready = stack.pop()
+        skeleton, children = sub
+        if skeleton is None:
+            if children:
+                raise StructureError("leaf node must not have children")
+            built.append((1,))
+        elif ready:
+            k = len(skeleton)
+            built[-k:] = [inflate(skeleton, built[-k:])]
+        else:
+            k = len(skeleton)
+            if sorted(skeleton) != list(range(1, k + 1)):
+                raise StructureError(f"skeleton {skeleton} is not a permutation")
+            if len(children) != k:
+                raise StructureError(f"skeleton of length {k} has {len(children)} children")
+            stack.append((sub, True))
+            stack += [(c, False) for c in reversed(children)]
+    return built[0]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import time
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import node, tree_json
+from oracles import node, random_separable, stack_depth, tree_json
 from test_trees import random_2413_inflated, reference_shape_text
 
 from gammalab import cli, trees
@@ -707,16 +707,6 @@ def plain_decompose_payload(p):
     }
 
 
-def random_separable(rng, n):
-    """Join random neighbours by direct or skew sums until one part is left."""
-    parts = [(1,)] * n
-    while len(parts) > 1:
-        i = rng.randrange(len(parts) - 1)
-        join = direct_sum if rng.random() < 0.5 else skew_sum
-        parts[i:i + 2] = [join(parts[i], parts[i + 1])]
-    return parts[0]
-
-
 def test_decompose_json_is_json_dumps_of_the_plain_payload(capsys):
     inputs = [p for n in range(1, 8) for p in itertools.permutations(range(1, n + 1))]
     rng = random.Random(1024)
@@ -744,13 +734,6 @@ def right_chain_json(t, depth):
         tails.append(tail)
         t, depth = right, depth + 2
     return "".join(heads) + json_at_depth(tree_json(t), depth) + "".join(reversed(tails))
-
-
-def stack_depth():
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
-    return depth
 
 
 def reference_text(data, indent=""):

@@ -2,12 +2,14 @@
 import itertools
 import math
 import multiprocessing
+import random
 import time
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import random_separable
 
 from gammalab.errors import DistributionError, ParseError, ResourceBoundError
 from gammalab.permutations import (
@@ -153,10 +155,30 @@ def test_is_simple_examples():
     assert is_simple((2, 4, 6, 1, 3, 5))
 
 
+def long_inputs():
+    """Seeded inputs far longer than the exhaustive checks reach: random
+    permutations of lengths 64 and 256, random separable ones, the simple
+    q = 2 4 ... 2k 1 3 ... 2k-1, and the sum, skew sum and 2413-inflation of
+    copies of q, which have no adjacent values either and so reach the
+    root split in `is_simple`."""
+    rng = random.Random(7)
+    inputs = [tuple(rng.sample(range(1, n + 1), n)) for n, count in ((64, 8), (256, 3))
+              for _ in range(count)]
+    inputs += [random_separable(rng, n) for n in (64, 256) for _ in range(4)]
+    for k in (*range(1, 11), 25, 50, 100):
+        q = tuple(range(2, 2 * k + 1, 2)) + tuple(range(1, 2 * k, 2))
+        inputs.append(q)
+        if k in (5, 25):
+            inputs += [direct_sum(q, q), skew_sum(q, q), inflate((2, 4, 1, 3), [q] * 4)]
+    return inputs
+
+
 def test_is_simple_matches_block_scan_oracle():
     for n in range(1, 8):
         for p in all_perms(n):
             assert is_simple(p) == oracle_is_simple(p)
+    for p in long_inputs():
+        assert is_simple(p) == oracle_is_simple(p), p
 
 
 def test_indecomposability():
@@ -169,12 +191,12 @@ def test_indecomposability():
 
 
 def test_indecomposability_matches_prefix_oracle():
-    for n in range(1, 7):
-        for p in all_perms(n):
-            sum_dec = any(set(p[:i]) == set(range(1, i + 1)) for i in range(1, n))
-            skew_dec = any(set(p[:i]) == set(range(n - i + 1, n + 1)) for i in range(1, n))
-            assert is_sum_indecomposable(p) == (not sum_dec)
-            assert is_skew_indecomposable(p) == (not skew_dec)
+    for p in itertools.chain(*map(all_perms, range(1, 7)), long_inputs()):
+        n = len(p)
+        sum_dec = any(set(p[:i]) == set(range(1, i + 1)) for i in range(1, n))
+        skew_dec = any(set(p[:i]) == set(range(n - i + 1, n + 1)) for i in range(1, n))
+        assert is_sum_indecomposable(p) == (not sum_dec), p
+        assert is_skew_indecomposable(p) == (not skew_dec), p
 
 
 # ---------------------------------------------------------------------------
@@ -453,9 +475,15 @@ def test_parse_permutation_errors():
     for bad in ("", "4x2", "11", "1 2 2", "0 1", "2 4",
                 # ASCII 0-9 only: no signs, underscores or other Unicode digits.
                 "\u00b21", "\u2074", "1_0 2", "\u0661 \u0662", "-1 2", "+1", "1 \u00b2",
-                "1" * 5000 + " 1"):  # more digits than int() converts
+                "1" * 5000 + " 1",  # more digits than int() converts
+                # A comma stands between two values: no empty field.
+                "2,,1,3", ",2,1,3", "2,1,3,", "2, ,1,3", ",", "2 1,"):
         with pytest.raises(ParseError):
             parse_permutation(bad)
+    for bad, position in (("2,,1,3", 2), (",2,1,3", 1), ("2,1,3,", 4)):
+        with pytest.raises(ParseError, match=f"^empty permutation entry at position {position}$"):
+            parse_permutation(bad)
+    assert parse_permutation(" 4, 5, 2,1,3 ") == (4, 5, 2, 1, 3)
 
 
 @settings(max_examples=400, deadline=None)

@@ -4,14 +4,13 @@ import random
 import sys
 
 import pytest
-from oracles import leaf_count, node, subtree_at, tree_json
+from oracles import leaf_count, node, random_separable, stack_depth, subtree_at, tree_json
 
 from gammalab.errors import StructureError
-from gammalab.permutations import inflate, is_simple, standardize
+from gammalab.permutations import _split, inflate, is_simple, standardize
 from gammalab.trees import (
     LEAF,
     DecompTree,
-    _split,
     binary_right_chains,
     decompose,
     in_closure,
@@ -104,20 +103,6 @@ def reference_decompose(p):
         i = end + 1
     return node(standardize([b[0] for b in blocks]),
                 *(reference_decompose(standardize(b)) for b in blocks))
-
-
-def random_separable(rng, n):
-    """Merge random neighbours by direct or skew sums until one part is left."""
-    parts = [(1,)] * n
-    while len(parts) > 1:
-        i = rng.randrange(len(parts) - 1)
-        a, b = parts[i], parts[i + 1]
-        if rng.random() < 0.5:
-            merged = a + tuple(v + len(a) for v in b)
-        else:
-            merged = tuple(v + len(b) for v in a) + b
-        parts[i:i + 2] = [merged]
-    return parts[0]
 
 
 def test_decompose_matches_the_standardizing_reference():
@@ -215,12 +200,39 @@ def test_decompose_prunes_its_block_scan_soundly():
 
 
 def test_reconstruct_structure_errors():
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="^leaf node must not have children$"):
         reconstruct(DecompTree(None, (LEAF,)))
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match=r"^skeleton \(1, 3\) is not a permutation$"):
         reconstruct(node((1, 3), LEAF, LEAF))
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match="^skeleton of length 2 has 1 children$"):
         reconstruct(node((1, 2), LEAF))
+    # The first malformed node in preorder is the one named.
+    with pytest.raises(StructureError, match="is not a permutation"):
+        reconstruct(node((2, 1), node((1, 3), LEAF, LEAF), DecompTree(None, (LEAF,))))
+
+
+def test_reconstruct_inverts_decompose_at_any_depth():
+    # Chains of 989 sums (or skew sums): the deepest inputs decompose takes
+    # from a bare interpreter, so it is given that much room above this frame.
+    monotone = (tuple(range(1, 991)), tuple(range(990, 0, -1)))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + limit)
+    try:
+        deep = [decompose(p) for p in monotone]
+    finally:
+        sys.setrecursionlimit(limit)
+    # And 2999 levels built by hand.
+    t = LEAF
+    for _ in range(2999):
+        t = node((1, 2), t, LEAF)
+    # Inverted under a recursion limit 50 frames above the caller's, and
+    # compared as tuples: tree equality recurses.
+    sys.setrecursionlimit(stack_depth() + 50)
+    try:
+        perms = [reconstruct(tree) for tree in (*deep, t)]
+    finally:
+        sys.setrecursionlimit(limit)
+    assert perms == [*monotone, tuple(range(1, 3001))]
 
 
 def test_leaf_count_and_labels():
@@ -425,11 +437,8 @@ def test_simplified_text_writes_a_deep_chain_without_recursion():
     t = LEAF
     for i in range(3000):
         t = node((1, 2) if i % 2 else (2, 1), LEAF, t)
-    frame, depth = sys._getframe(), 0
-    while frame is not None:
-        frame, depth = frame.f_back, depth + 1
     limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(depth + 50)
+    sys.setrecursionlimit(stack_depth() + 50)
     try:
         text = simplified_text(t)
     finally:
