@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="worker count for the simple-permutation tallies by enumeration, "
                             "the only ones that read it (poly --target simple --method "
                             "enumerate, verify --suite conjecture --method enumerate); "
-                            "0 (the default) = one per core")
+                            "0 (the default) = one per core; capped at the shard count")
     for p in sub.choices.values():
         p.set_defaults(parser=p)
     return parser

@@ -19,10 +19,11 @@ expansion).  The bounds live here, beside the error they raise, so that
 MAX_ENUMERATION_N = 12
 
 # The tableau route (`series.rsk_two_sided_eulerian`) is one growth-chain walk
-# over (shape, row of the last box) states with descent-count vectors, whose
-# states after m boxes serve order m, so one walk to N gives every order up to
-# N.  It never lists tableaux, so its cost follows the number of partitions,
-# not n! or the tableau count.  The cap is the largest order any benchmark
+# over (shape, row of the last box) states, each with its descent tally packed
+# as in `permutations._tally_packing(N)`, whose states after m boxes serve
+# order m, so one walk to N gives every order up to N.  It never lists
+# tableaux, so its cost follows the number of partitions, not n! or the
+# tableau count.  The cap is the largest order any benchmark
 # workload runs; raising it waits for a benchmark change that adds a workload
 # past 14.
 MAX_RSK_N = 14

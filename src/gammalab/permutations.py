@@ -14,6 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import os
 from collections import Counter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -61,10 +62,10 @@ def _not_a_permutation(t: Permutation) -> str:
 def parse_permutation(text: str) -> Permutation:
     """Parse permutation text.
 
-    Accepts comma- or space-separated values ("4 5 2 3 9 8 1 6 7"), and for
-    n <= 9 also a compact digit string ("452398167").  A comma stands
-    between two values, so "2,,1,3" and "2,1," are ParseErrors.  Values are
-    written in ASCII digits 0-9 only; anything else (signs, "1_0",
+    Accepts values separated by commas or any whitespace ("4 5 2 3 9 8 1 6 7",
+    newlines too), and for n <= 9 a compact digit string ("452398167").  A
+    comma stands between two values, so "2,,1,3" and "2,1," are ParseErrors.
+    Values are written in ASCII digits 0-9 only; anything else (signs, "1_0",
     superscript or other Unicode digits) is a ParseError.
 
     >>> parse_permutation("2 4 1 3")
@@ -75,7 +76,7 @@ def parse_permutation(text: str) -> Permutation:
     text = text.strip()
     if not text:
         raise ParseError("empty permutation text")
-    if "," in text or " " in text or "\t" in text:
+    if " " in text or "," in text or len(text.split(maxsplit=1)) == 2:
         if "," in text:
             for idx, field in enumerate(text.split(","), start=1):
                 if not field.strip():
@@ -461,7 +462,8 @@ def _tally_packing(n: int) -> Packing:
     and as no tally holds more than n! < 2**(width-1) members, no slot
     carries and the tally's digit sum, ``size``, is its number of members.  On S_n,
     complement maps (d, e) to (n-1-d, n-1-e), which is the slot reversal
-    k -> n*n - 1 - k.
+    k -> n*n - 1 - k.  `series.eulerian_series` tallies tableaux by descents in
+    the t-row of this layout and multiplies out each A_m(s,t), m <= n, in it.
 
     >>> pack = _tally_packing(3)  # width 4
     >>> tally = pack.pack({(0, 1): 2, (2, 0): 5})
@@ -622,9 +624,8 @@ def _simple_counts(n: int, threads: int) -> list[int]:
         if q <= mirror:
             shards.append((n, q))
             mirrored.append(q != mirror)
-    if threads == 0:
-        import os
-        threads = min(os.cpu_count() or 1, len(shards))
+    # 0 = one worker per core; never more workers than shards.
+    threads = min(threads or os.cpu_count() or 1, len(shards))
     if threads > 1:
         import multiprocessing
         with multiprocessing.Pool(threads) as pool:
@@ -657,8 +658,9 @@ def eulerian_distribution(n: int, threads: int = 1) -> JointDistribution:
 def simple_distribution(n: int, threads: int = 1) -> JointDistribution:
     """The joint (des, ides) distribution over the simple permutations of length n.
 
-    ``threads`` workers (0 = one per core) share the prefix shards of the walk
-    from n = POOL_MIN_N on; shorter lengths run in this process.
+    ``threads`` workers (0 = one per core; at most one per shard) share the
+    prefix shards of the walk from n = POOL_MIN_N on; shorter lengths run in
+    this process.
     """
     check_size(n, MAX_ENUMERATION_N, "full enumeration of S_n")
     counts = _simple_counts(n, threads if n >= POOL_MIN_N else 1)

@@ -24,6 +24,8 @@ inverse match those of the insertion tableau, so A_n(s,t) = sum over shapes
 of D_shape(s) * D_shape(t), where D_shape counts standard Young tableaux by
 descent number.  One growth-chain walk to order N gives D_shape for every
 shape of every size up to N, so the whole Eulerian series costs one walk.
+The walk counts, and each A_n is multiplied out, in the one tally layout of
+the S_n routes, `permutations._tally_packing(N)`.
 
 Series products, composition, the geometric inverse and Lagrange inversion
 run on Kronecker-packed ints (`polys.Packing`) in a layout proven for each
@@ -36,7 +38,7 @@ import operator
 from typing import NamedTuple
 
 from .errors import MAX_ENUMERATION_N, MAX_RSK_N, InversionError, check_size
-from .permutations import simple_distribution
+from .permutations import _tally_packing, simple_distribution
 from .polys import ONE, ST, ZERO, BivarPoly, Packing, is_palindromic_bivariate
 
 
@@ -195,32 +197,29 @@ def _packed(kernel, *operands: list[BivarPoly]) -> list[BivarPoly]:
 # the Eulerian series and its tableau-based oracle
 # ---------------------------------------------------------------------------
 
-def _tableau_descent_vectors(N: int) -> list[dict[tuple[int, ...], tuple[int, ...]]]:
+def _tableau_descent_vectors(N: int) -> list[dict[tuple[int, ...], int]]:
     """For each size m = 1..N (at index m - 1), every partition shape of m
-    with its counts of standard Young tableaux by descent number (an entry i
-    is a descent when i+1 sits in a lower row).
+    with D_shape(t), its standard Young tableaux counted by descent number
+    (an entry i is a descent when i+1 sits in a lower row), packed in the
+    t-row of `_tally_packing(N)`.
 
     One growth-chain walk serves every size: add boxes one at a time, tracking
-    the row of the last-added box and the running descent count; the states
-    after m boxes are exactly the tableaux of size m.
+    the row of the last-added box; the states after m boxes are exactly the
+    tableaux of size m, and a descent shifts a state's tally by one t-digit.
     """
     check_size(N, MAX_RSK_N, "the tableau route")
-    # Each state's descent counts are one int, count d at bit w*d: a tally of
-    # at most N! tableaux, so no digit carries, and a descent is one shift.
-    w = math.factorial(N).bit_length() + 1
-    mask = (1 << w) - 1
+    descent = _tally_packing(N).shift(0, 1)
     states: dict[tuple[tuple[int, ...], int], int] = {((1,), 0): 1}
     sizes = []
     while True:
         by_shape: dict[tuple[int, ...], int] = {}
-        for (shape, _), vec in states.items():
-            by_shape[shape] = by_shape.get(shape, 0) + vec
-        sizes.append({shape: tuple(vec >> w * d & mask for d in range(-(-vec.bit_length() // w)))
-                      for shape, vec in by_shape.items()})
+        for (shape, _), tally in states.items():
+            by_shape[shape] = by_shape.get(shape, 0) + tally
+        sizes.append(by_shape)
         if len(sizes) == N:
             return sizes
         nxt: dict[tuple[tuple[int, ...], int], int] = {}
-        for (shape, row), vec in states.items():
+        for (shape, row), tally in states.items():
             rows = len(shape)
             for r in range(rows + 1):
                 if r < rows:
@@ -229,21 +228,8 @@ def _tableau_descent_vectors(N: int) -> list[dict[tuple[int, ...], tuple[int, ..
                     nshape = shape[:r] + (shape[r] + 1,) + shape[r + 1:]
                 else:
                     nshape = shape + (1,)
-                nxt[nshape, r] = nxt.get((nshape, r), 0) + (vec << w if r > row else vec)
+                nxt[nshape, r] = nxt.get((nshape, r), 0) + (tally << descent if r > row else tally)
         states = nxt
-
-
-def _sum_of_squares(vectors: dict[tuple[int, ...], tuple[int, ...]]) -> BivarPoly:
-    """The sum over shapes of D_shape(s) * D_shape(t), each a product of two
-    packed one-variable polynomials.  The sum has nonnegative coefficients,
-    so its l1 norm, the sum over shapes of D_shape(1)^2, bounds them."""
-    bound = sum(sum(vec) ** 2 for vec in vectors.values())
-    layout = Packing(bound.bit_length() + 1, max(map(len, vectors.values())))
-    total = 0
-    for vec in vectors.values():
-        total += (sum(c << layout.shift(a, 0) for a, c in enumerate(vec))
-                  * sum(c << layout.shift(0, b) for b, c in enumerate(vec)))
-    return layout.unpack(total)
 
 
 def rsk_two_sided_eulerian(n: int) -> BivarPoly:
@@ -252,12 +238,21 @@ def rsk_two_sided_eulerian(n: int) -> BivarPoly:
     >>> rsk_two_sided_eulerian(3).text()
     '1 + 4*s*t + s^2*t^2'
     """
-    return _sum_of_squares(_tableau_descent_vectors(n)[-1])
+    return eulerian_series(n).coeff(n)
 
 
 def eulerian_series(N: int) -> PowerSeries:
-    """F(x) with coefficient A_n(s,t) at x^n, by the tableau route."""
-    return PowerSeries(N, [ZERO] + [_sum_of_squares(v) for v in _tableau_descent_vectors(N)])
+    """F(x) with coefficient A_m(s,t) at x^m, by the tableau route, each A_m
+    multiplied out in `_tally_packing(N)`: its degrees are below m <= N, the
+    stride, and its nonnegative coefficients sum to m! <= N!, so none carries."""
+    sizes = _tableau_descent_vectors(N)
+    pack = _tally_packing(N)
+
+    def transpose(D: int) -> int:
+        return pack.pack({(q, p): c for (p, q), c in pack.unpack(D).items()})
+
+    return PowerSeries(N, [ZERO] + [pack.unpack(sum(transpose(D) * D for D in by_shape.values()))
+                                    for by_shape in sizes])
 
 
 # ---------------------------------------------------------------------------

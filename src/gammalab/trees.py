@@ -39,7 +39,7 @@ _BINARY = {_ASC, _DESC}
 class DecompTree(NamedTuple):
     """A leaf (skeleton None) or an internal node with one child per skeleton entry.
 
-    A named tuple, so trees hash and compare in C (they key the orbit groups).
+    A named tuple, so trees hash and compare in C (``==`` recurses per level).
     """
     skeleton: tuple[int, ...] | None
     children: tuple["DecompTree", ...] = ()

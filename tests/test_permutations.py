@@ -457,6 +457,9 @@ def test_pool_starts_only_from_pool_min_n(monkeypatch):
     assert started == []
     assert simple_distribution(POOL_MIN_N, threads=2).count == SIMPLE_COUNTS[POOL_MIN_N - 1]
     assert started == [2]
+    # Never more workers than the 5 shards of the first half of S_10.
+    assert simple_distribution(POOL_MIN_N, threads=10**6).count == SIMPLE_COUNTS[POOL_MIN_N - 1]
+    assert started == [2, 5]
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +471,11 @@ def test_parse_permutation_formats():
     assert parse_permutation("4,5,2,3,9,8,1,6,7") == (4, 5, 2, 3, 9, 8, 1, 6, 7)
     assert parse_permutation("452398167") == (4, 5, 2, 3, 9, 8, 1, 6, 7)
     assert parse_permutation("1") == (1,)
+    # Any whitespace separates entries: newlines, CRLF, tabs, mixed.
+    assert parse_permutation("1\n2\n3\n4\n5\n") == (1, 2, 3, 4, 5)
+    assert parse_permutation("2\r\n4\r\n1\r\n3") == (2, 4, 1, 3)
+    assert parse_permutation("2\t4\n 1,\r\n3") == (2, 4, 1, 3)
+    assert parse_permutation("10\n1\n2\n3\n4\n5\n6\n7\n8\n9") == (10,) + tuple(range(1, 10))
     assert format_permutation((4, 5, 2, 3)) == "4 5 2 3"
 
 

@@ -1,12 +1,13 @@
 """Power series over polynomial coefficients: inversion, the system, the oracle."""
 import itertools
 import random
-from math import comb, prod
+from math import comb, factorial, prod
 
 import pytest
 
 from gammalab.errors import InversionError, ResourceBoundError
 from gammalab.permutations import (
+    _tally_packing,
     eulerian_distribution,
     is_simple,
     is_skew_indecomposable,
@@ -255,6 +256,12 @@ def test_rsk_examples():
 def test_rsk_matches_enumeration():
     for n in range(1, 8):
         assert rsk_two_sided_eulerian(n) == eulerian_distribution(n).poly
+    # Each A_n comes out the same in the layouts of order n and MAX_RSK_N.
+    F = eulerian_series(MAX_RSK_N)
+    for n in range(1, MAX_RSK_N + 1):
+        A = rsk_two_sided_eulerian(n)
+        assert F.coeff(n) == A, n
+        assert A.evaluate_at_one() == factorial(n), n
 
 
 def _partitions(n, largest=None):
@@ -290,14 +297,21 @@ def _hook_content_descents(shape):
     return tuple(vec)
 
 
+def _unpacked(sizes, N):
+    pack = _tally_packing(N)
+    return [{shape: pack.unpack(vec) for shape, vec in vectors.items()} for vectors in sizes]
+
+
 def test_tableau_walk_matches_hook_content_formula():
-    sizes = _tableau_descent_vectors(MAX_RSK_N)
+    sizes = _unpacked(_tableau_descent_vectors(MAX_RSK_N), MAX_RSK_N)
     assert len(sizes) == MAX_RSK_N >= 14
     for m, vectors in enumerate(sizes, start=1):
         assert set(vectors) == set(_partitions(m)), m
-        for shape, vec in vectors.items():
-            assert vec == _hook_content_descents(shape), shape
-    assert sizes[:5] == _tableau_descent_vectors(5)
+        for shape, D in vectors.items():
+            hook = _hook_content_descents(shape)
+            assert D == BivarPoly({(0, d): c for d, c in enumerate(hook)}), shape
+    # The packed ints depend on N; the polynomials they hold do not.
+    assert sizes[:5] == _unpacked(_tableau_descent_vectors(5), 5)
 
 
 def test_methods_agree():
