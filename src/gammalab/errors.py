@@ -12,8 +12,8 @@ expansion).  The bounds live here, beside the error they raise, so that
 """
 
 # The one enumeration budget (12! is ~479M permutations).  Every S_n route
-# refuses lengths above it (`enumerate_permutations`, the Eulerian DP, the
-# simple walk, `orbits.verify_reduction`); `cli.ROUTES` and
+# refuses lengths above it (`enumerate_permutations`, the Eulerian and simple
+# DPs, `orbits.verify_reduction`); `cli.ROUTES` and
 # `series.simple_series(method="enumerate")` check it before they start.  The
 # class DP and `closure_trees` are capped lower, by `MAX_CLOSURE_TREE_N`.
 MAX_ENUMERATION_N = 12

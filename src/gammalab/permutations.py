@@ -7,14 +7,12 @@ matching the classical combinatorics conventions for descents, blocks and
 inflation.
 
 The functions here are pure and operate on plain tuples; nothing is ever
-mutated, so everything is safe to call from worker processes or threads.
+mutated, and every tally runs in the calling process.
 """
 from __future__ import annotations
 
 import itertools
 import math
-import operator
-import os
 from collections import Counter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -402,8 +400,8 @@ def skew_sum(p: Permutation, q: Permutation) -> Permutation:
 def enumerate_permutations(n: int) -> Iterator[Permutation]:
     """All of S_n in lexicographic order.
 
-    The order is deterministic, so runs are reproducible and contiguous rank
-    ranges can be handed to independent workers.
+    The order is deterministic, so runs are reproducible and each first value
+    is a contiguous rank range.
     """
     check_size(n, MAX_ENUMERATION_N, "full enumeration of S_n")
     return itertools.permutations(range(1, n + 1))
@@ -510,135 +508,61 @@ def _eulerian_counts(n: int) -> int:
     return sum(layer.values())
 
 
-def _shard_prefixes(n: int) -> list[Permutation]:
-    """Length-1 (or length-2 for large n) prefixes; each is a contiguous rank range."""
-    values = range(1, n + 1)
-    if n >= 11:
-        return [(a, b) for a in values for b in values if a != b]
-    return [(a,) for a in values]
-
-
-def _tally_simple_shard(args: tuple[int, Permutation]) -> list[int]:
+def _simple_counts(n: int, firsts: Iterable[int]) -> int:
     """The (des, ides) tally of the simple permutations of length n that start
-    with ``prefix``, as a flat list of `_tally_packing` slot counts (slot
-    d*n + e), by a depth-first walk over block-free prefixes.
+    with a value in ``firsts``, packed as in `_tally_packing(n)`, by a DP over
+    block-free prefixes.
 
-    A proper block stays a block in every extension, so a prefix holding one
-    is never grown.  The unplaced values are the bitmask ``rest`` (bit v for
-    value v), and each node does its block work once, not once per candidate:
+    A proper block stays a block in every extension, so no prefix holding one
+    is grown.  A block is an interval of values, so whether a suffix
+    p[j..i-1] can end one depends on its hull, the bitmask of the values from
+    its least to its greatest.  The suffix is *live* while no other placed
+    value lies in its hull; one that is not never fills its hull again, as
+    the hull only grows.  A state is the placed bitmask with the hulls of the
+    live suffixes, innermost (the last value) first.  Placing v:
 
-    1. One forbidden value per segment.  Placing v at position i after the
-       block-free prefix ``p[0..i-1]`` closes a block ``p[j..i]`` in exactly
-       two cases: j = i-1 and v = p[i-1] +- 1; or j < i-1, ``p[j..i-1]``
-       spans hi - lo = i - j, and v is its one gap,
-       (lo + hi)(hi - lo + 1)/2 - sum.  (A longer span leaves more than one
-       gap, and a shorter one is a block already.)  One backward pass sets
-       these bits in ``forbid``; the children are the bits of
-       ``rest & ~forbid``.
-    2. Suffix blocks.  If after placing position i <= n-3 the unplaced
-       values form an interval, positions i+1..n-1 will be a proper block,
-       so that prefix is refused at once (the shards (1,) and (n,) end at
-       their first step).
-    3. The last value is free.  By 2, every segment that ends at position
-       n-1 and is not the whole of p is a suffix already refused, so the
-       last value, ``rest.bit_length() - 1``, is counted with no scan.
+    - is refused if a live suffix and v fill their new hull and are not the
+      whole of 1..n: a proper block (v = last +- 1 is one);
+    - keeps a suffix live if no other placed value lies in its new hull.
 
-    des and ides grow by the same step rule as in `_eulerian_counts`, on one
-    slot index: a descent adds n, and an inverse descent adds 1 (v - 1 is
-    unplaced iff bit v - 1 of ``rest`` is set; bit 0 never is).
+    A state whose unplaced values form an interval of length >= 2 is not
+    grown: they would end the permutation as a proper block (for n >= 3 this
+    drops the first values 1 and n).  So no block can end at the last
+    position, and the layer before it keys on the placed set and the last
+    value only.  des and ides grow as in `_eulerian_counts`, with value v at
+    bit v - 1.
     """
-    n, prefix = args
-    counts = [0] * (n * n)
-    if n == 1:
-        counts[0] = 1
-        return counts
-    line: list[int] = []
-    fixed = len(prefix)
-
-    def extend(i: int, rest: int, last: int, slot: int) -> None:
-        # The prefix of length i is ``line`` followed by ``last``; it is
-        # block-free and has (des, ides) in ``slot``, and ``rest`` holds the
-        # values not yet placed.
-        if i:
-            lo = hi = total = last
-            forbid = (2 << last) | (1 << (last - 1))
-            span = 1
-            for x in reversed(line):
-                span += 1
-                total += x
-                if x < lo:
-                    lo = x
-                elif x > hi:
-                    hi = x
-                if hi - lo == span:
-                    forbid |= 1 << ((lo + hi) * (hi - lo + 1) // 2 - total)
-            todo = rest & ~forbid
-        else:
-            todo = rest
-        if i < fixed:
-            todo &= 1 << prefix[i]
-        while todo:
-            bit = todo & -todo
-            todo ^= bit
-            v = bit.bit_length() - 1
-            step = slot + (n if last > v else 0) + (rest >> (v - 1) & 1)
-            left = rest ^ bit
-            if i == n - 2:
-                counts[step + n if v > left.bit_length() - 1 else step] += 1
-            elif (left + (left & -left)) & left:
-                if i:
-                    line.append(last)
-                extend(i + 1, left, v, step)
-                if i:
-                    line.pop()
-
-    extend(0, ((1 << n) - 1) << 1, 0, 0)  # no value before the first: 0 exceeds none
-    return counts
-
-
-# The simple walk starts worker processes only from this length on; below it
-# the pool costs more to start than the shards save.  On a 2-vCPU VM, one
-# process against two (import included, medians of 15 alternated fresh
-# processes, two rounds, with the slot-indexed walk): n = 9 took 0.18 s
-# against 0.21-0.23 s, n = 10 took 0.51-0.57 s against 0.42-0.44 s, and
-# n = 11 (5 pairs) took 5.0 s against 2.7 s.
-POOL_MIN_N = 10
-
-
-def _simple_counts(n: int, threads: int) -> list[int]:
-    """The (des, ides) tally of the simple permutations of length n, as a
-    flat list of `_tally_packing` slot counts.
-
-    Complement maps the simple permutations that start with a prefix q onto
-    those that start with complement(q), and (d, e) to (n-1-d, n-1-e), the
-    slot reversal.  So only the shards with q <= complement(q), the first
-    half of S_n, are walked: one strictly below its mirror is counted twice,
-    the second time reversed, and a self-complementary one (the middle value,
-    odd n) once.
-    """
-    n1 = n + 1
-    shards: list[tuple[int, Permutation]] = []
-    mirrored: list[bool] = []
-    for q in _shard_prefixes(n):
-        mirror = tuple(n1 - v for v in q)
-        if q <= mirror:
-            shards.append((n, q))
-            mirrored.append(q != mirror)
-    # 0 = one worker per core; never more workers than shards.
-    threads = min(threads or os.cpu_count() or 1, len(shards))
-    if threads > 1:
-        import multiprocessing
-        with multiprocessing.Pool(threads) as pool:
-            shard_counts = pool.map(_tally_simple_shard, shards)
-    else:
-        shard_counts = [_tally_simple_shard(s) for s in shards]
-    # Slotwise integer addition is independent of the merge order.
-    counts = [0] * (n * n)
-    for shard, twice in zip(shard_counts, mirrored):
-        counts = list(map(operator.add, counts, shard))
-        if twice:
-            counts = list(map(operator.add, counts, reversed(shard)))
-    return counts
+    pack = _tally_packing(n)
+    step_d, step_e = pack.shift(1, 0), pack.shift(0, 1)
+    full = (1 << n) - 1
+    layer = {(1 << a - 1, (1 << a - 1,)): 1 << (step_e if a > 1 else 0) for a in firsts}
+    for length in range(2, n + 1):
+        nxt: dict[tuple[int, tuple[int, ...]], int] = {}
+        get = nxt.get
+        for (placed, hulls), tally in layer.items():
+            free = full ^ placed
+            if free & (free - 1) and not (free + (free & -free)) & free:
+                continue  # an interval of length >= 2 is left
+            last = hulls[0]
+            todo = free
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                now = placed | bit
+                live = [bit]
+                for hull in hulls:
+                    vals = now & hull | bit
+                    span = (1 << vals.bit_length()) - (vals & -vals)
+                    if span == vals != full:
+                        break
+                    if now & span == vals:
+                        live.append(span)
+                else:
+                    key = now, tuple(live) if length < n - 1 else (bit,)
+                    shift = (step_d if last > bit else 0) + (step_e if bit >> 1 & ~placed else 0)
+                    nxt[key] = get(key, 0) + (tally << shift)
+        layer = nxt
+    return sum(layer.values())
 
 
 def eulerian_distribution(n: int, threads: int = 1) -> JointDistribution:
@@ -656,12 +580,19 @@ def eulerian_distribution(n: int, threads: int = 1) -> JointDistribution:
 
 
 def simple_distribution(n: int, threads: int = 1) -> JointDistribution:
-    """The joint (des, ides) distribution over the simple permutations of length n.
+    """The joint (des, ides) distribution over the simple permutations of length n,
+    by the prefix DP of `_simple_counts`.
 
-    ``threads`` workers (0 = one per core; at most one per shard) share the
-    prefix shards of the walk from n = POOL_MIN_N on; shorter lengths run in
-    this process.
+    Complement maps the simple permutations that start with a onto those that
+    start with n+1-a, and (d, e) to (n-1-d, n-1-e).  So only the first values
+    a < n+1-a are tallied, once as they are and once mirrored, and the middle
+    value of odd n, its own mirror, once.  The DP runs in this process;
+    ``threads`` is accepted and not read.
     """
     check_size(n, MAX_ENUMERATION_N, "full enumeration of S_n")
-    counts = _simple_counts(n, threads if n >= POOL_MIN_N else 1)
-    return JointDistribution(_tally_packing(n).from_slots(counts), n, sum(counts))
+    pack = _tally_packing(n)
+    half = pack.unpack(_simple_counts(n, range(1, n // 2 + 1)))
+    poly = half + BivarPoly({(n - 1 - d, n - 1 - e): c for (d, e), c in half.items()})
+    if n % 2:
+        poly += pack.unpack(_simple_counts(n, (n // 2 + 1,)))
+    return JointDistribution(poly, n, poly.evaluate_at_one())

@@ -247,9 +247,10 @@ def eulerian_series(N: int) -> PowerSeries:
     stride, and its nonnegative coefficients sum to m! <= N!, so none carries."""
     sizes = _tableau_descent_vectors(N)
     pack = _tally_packing(N)
+    digit, row, mask = pack.shift(0, 1), pack.shift(1, 0), (1 << pack.width) - 1
 
-    def transpose(D: int) -> int:
-        return pack.pack({(q, p): c for (p, q), c in pack.unpack(D).items()})
+    def transpose(D: int) -> int:  # D(t) -> D(s): t-digit q moves to row q
+        return sum((D >> digit * q & mask) << row * q for q in range(D.bit_length() // digit + 1))
 
     return PowerSeries(N, [ZERO] + [pack.unpack(sum(transpose(D) * D for D in by_shape.values()))
                                     for by_shape in sizes])
@@ -301,8 +302,9 @@ def simple_series(N: int, method: str = "inversion", threads: int = 1) -> PowerS
 
     method='inversion' derives the coefficients from the compositional inverse
     of the Eulerian series from the tableau route; method='enumerate' tallies
-    the simple permutations directly, with ``threads`` workers (read by this
-    method only).  The two agree everywhere.
+    the simple permutations directly, by the prefix DP of
+    `simple_distribution`.  The two agree everywhere.  ``threads`` is
+    accepted and not read.
     """
     if N < 4:
         raise ValueError("order must be at least 4; shorter coefficients all vanish")

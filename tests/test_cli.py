@@ -133,6 +133,14 @@ def test_poly_simple_six_both_methods():
         assert data["positive"] is True
 
 
+def test_poly_simple_enumeration_runs_its_cap_without_long_run():
+    start = time.perf_counter()
+    dp = run_json("poly", "--target", "simple", "--method", "enumerate", "--n", "12")
+    assert time.perf_counter() - start < 10
+    inversion = run_json("poly", "--target", "simple", "--method", "inversion", "--n", "12")
+    assert [dp[k] for k in ("polynomial", "gamma")] == [inversion[k] for k in ("polynomial", "gamma")]
+
+
 def test_poly_simple_three_is_zero():
     data = run_json("poly", "--target", "simple", "--n", "3")
     assert data["polynomial"]["text"] == "0"
@@ -232,8 +240,8 @@ def test_long_run_help_names_exactly_the_routes_that_need_it(command, capsys):
     expected = [(quantity, method, str(route.long_run))
                 for quantity, routes in cli.ROUTES[command].items()
                 for method, route in routes.items() if route.long_run is not None]
-    # poly: the two enumerate rows; verify: conjecture, reduction and lemma39.
-    assert named == expected and len(expected) >= {"poly": 2, "verify": 3}[command]
+    # poly: eulerian/enumerate; verify: reduction and lemma39.
+    assert named == expected and len(expected) >= {"poly": 1, "verify": 2}[command]
     assert "full-enumeration" not in text
 
 

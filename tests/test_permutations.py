@@ -1,7 +1,6 @@
 """Core permutation statistics, blocks, inflation and enumeration."""
 import itertools
 import math
-import multiprocessing
 import random
 import time
 from collections import Counter
@@ -13,10 +12,9 @@ from oracles import random_separable
 
 from gammalab.errors import DistributionError, ParseError, ResourceBoundError
 from gammalab.permutations import (
-    POOL_MIN_N,
     JointDistribution,
     _simple_counts,
-    _tally_simple_shard,
+    _tally_packing,
     check_permutation,
     complement,
     des,
@@ -338,21 +336,13 @@ def test_eulerian_palindromic():
             assert poly.coeff(m - p, m - q) == v
 
 
-def test_parallel_reduction_is_bit_identical():
-    seq = eulerian_distribution(7, threads=1)
-    par = eulerian_distribution(7, threads=2)
-    assert seq == par
-    sseq = simple_distribution(7, threads=1)
-    spar = simple_distribution(7, threads=2)
-    assert sseq == spar
+def test_threads_is_unread_and_changes_nothing():
     for n in (1, 2, 7, 9):
         for dist, stream in ((eulerian_distribution, enumerate_permutations),
                              (simple_distribution, enumerate_simple)):
             expected = joint_distribution(stream(n), n)
             for threads in (0, 1, 2):
                 assert dist(n, threads=threads) == expected
-    # The pooled walk below the length where simple_distribution starts a pool.
-    assert simple_counts(7, 2) == simple_counts(7, 1) == Counter(dict(spar.poly.items()))
 
 
 # A111111: the number of simple permutations of length n, n = 1..11.
@@ -369,7 +359,7 @@ def test_eulerian_dp_matches_enumeration_and_tableaux():
         d.check()
 
 
-def test_simple_walk_matches_filtered_enumeration():
+def test_simple_dp_matches_filtered_enumeration():
     for n in range(1, 10):
         expected = joint_distribution(filter(is_simple, enumerate_permutations(n)), n)
         assert simple_distribution(n) == expected, n
@@ -377,89 +367,40 @@ def test_simple_walk_matches_filtered_enumeration():
 
 def test_simple_counts_match_a111111():
     for n, count in enumerate(SIMPLE_COUNTS, start=1):
-        d = simple_distribution(n, threads=0)
+        d = simple_distribution(n)
         assert d.count == count, n
         d.check()
-    # n = 11 walks half of its two-value shards and mirrors the rest.
-    assert d.poly == simple_series(11, method="inversion").coeff(11)
 
 
-def slot_counter(n, slots):
-    # The walk counts (des, ides) = (d, e) in slot d*n + e of a flat list.
-    assert len(slots) == n * n
-    return Counter({divmod(k, n): c for k, c in enumerate(slots) if c})
+def test_simple_dp_matches_the_inversion_route_up_to_the_cap():
+    # Past the filtered enumeration above, the series route is the oracle.
+    S = simple_series(12, method="inversion")
+    for n in range(10, 13):
+        assert simple_distribution(n).poly == S.coeff(n), n
 
 
-def shard(n, prefix):
-    return slot_counter(n, _tally_simple_shard((n, prefix)))
+def first_value_tally(n, a):
+    return _tally_packing(n).unpack(_simple_counts(n, (a,)))
 
 
-def simple_counts(n, threads):
-    return slot_counter(n, _simple_counts(n, threads))
-
-
-def mirrored(counts, n):
-    return Counter({(n - 1 - d, n - 1 - e): c for (d, e), c in counts.items()})
-
-
-def test_complement_mirrors_every_shard():
-    # _simple_counts walks only the prefixes q <= complement(q).
-    for n in range(1, 10):
-        for a in range(1, n + 1):
-            assert shard(n, (a,)) == mirrored(shard(n, (n + 1 - a,)), n), (n, a)
-    for a, b in ((2, 4), (3, 9), (6, 2)):
-        assert shard(11, (a, b)) == mirrored(shard(11, (12 - a, 12 - b)), 11), (a, b)
-
-
-def test_every_first_value_shard_matches_filtered_enumeration():
+def test_every_first_value_matches_filtered_enumeration():
     for n in range(1, 9):
         simple = [p for p in enumerate_permutations(n) if is_simple(p)]
         for a in range(1, n + 1):
-            expected = Counter(des_ides(p) for p in simple if p[0] == a)
-            assert shard(n, (a,)) == expected, (n, a)
+            expected = BivarPoly(Counter(des_ides(p) for p in simple if p[0] == a))
+            assert first_value_tally(n, a) == expected, (n, a)
         if n >= 3:
             # The rest of 1 or of n is an interval, a block of length n - 1.
-            assert shard(n, (1,)) == Counter()
-            assert shard(n, (n,)) == Counter()
+            assert _simple_counts(n, (1,)) == _simple_counts(n, (n,)) == 0
 
 
-def test_simple_walk_shards_by_pairs():
-    # From n = 11 the walk is sharded by its first two values; a pair of
-    # adjacent values is a block there, so its shard is empty.
-    for n in range(3, 8):
-        pairs = [(a, b) for a in range(1, n + 1) for b in range(1, n + 1) if a != b]
-        by_pair = sum((shard(n, pair) for pair in pairs), Counter())
-        assert by_pair == simple_counts(n, 1), n
-        for a in range(1, n):
-            assert shard(n, (a, a + 1)) == Counter()
-            assert shard(n, (a + 1, a)) == Counter()
-
-
-def test_pool_starts_only_from_pool_min_n(monkeypatch):
-    started = []
-
-    class SerialPool:
-        def __init__(self, threads):
-            started.append(threads)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return list(map(fn, items))
-
-    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    assert simple_distribution(POOL_MIN_N - 1, threads=2).count == SIMPLE_COUNTS[POOL_MIN_N - 2]
-    assert eulerian_distribution(POOL_MIN_N, threads=2).count == math.factorial(POOL_MIN_N)
-    assert started == []
-    assert simple_distribution(POOL_MIN_N, threads=2).count == SIMPLE_COUNTS[POOL_MIN_N - 1]
-    assert started == [2]
-    # Never more workers than the 5 shards of the first half of S_10.
-    assert simple_distribution(POOL_MIN_N, threads=10**6).count == SIMPLE_COUNTS[POOL_MIN_N - 1]
-    assert started == [2, 5]
+def test_complement_mirrors_every_first_value():
+    # simple_distribution tallies only the first values a < n+1-a and the middle one.
+    for n in range(1, 11):
+        for a in range(1, n + 1):
+            mirror = BivarPoly({(n - 1 - d, n - 1 - e): c
+                                for (d, e), c in first_value_tally(n, n + 1 - a).items()})
+            assert first_value_tally(n, a) == mirror, (n, a)
 
 
 # ---------------------------------------------------------------------------
