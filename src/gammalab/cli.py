@@ -13,10 +13,10 @@ itself, its lists in compact JSON (`_compact_json_parts`), so no format
 decodes JSON.  The bulk values are pre-rendered: the children and skeleton
 of ``decompose``'s ``tree_json``, its ``chains``, and each size's
 ``classes`` of ``verify --suite lemma39`` are written as JSON text for
-their depth in the payload (`_tree_json`, `_chains_json_text`,
-`_classes_json_text`) and held in a `_JsonText`.  The encoder writes a
-marker in place of each, and `_json_parts` splices the texts back in, so
-``--format json`` writes the answer part by part without ever joining it.
+their depth in the payload (`_decompose_json`, `_classes_json_text`) and
+held in a `_JsonText`.  The encoder writes a marker in place of each, and
+`_json_parts` splices the texts back in, so ``--format json`` writes the
+answer part by part without ever joining it.
 
 The module loads only the standard library and `errors` (which holds the
 route caps of `ROUTES`): each `cmd_*` and route function imports the library
@@ -220,148 +220,117 @@ def _json_parts(payload: object) -> list[str]:
     return parts
 
 
-def _tree_json(t: trees.DecompTree, depth: int) -> dict:
-    """The JSON form of ``t``, ``{"children": [...], "skeleton": [...] |
-    null}``, for a payload value at ``depth``: a leaf's two values are plain,
-    and any other node's are written as JSON text for depth + 1, the
-    children list by one loop over the nodes.
+# The JSON text of the label of a 12 or 21 node, the nodes of right chains.
+_CHAIN_LABELS = {(1, 2): '"12"', (2, 1): '"21"'}
 
-    Each item adds its leaf text, or its opening and, after its children two
-    levels deeper, its closing: the skeleton list and the brackets.  Leaf
-    texts, openings and separators are built once per depth and closings
-    once per (skeleton, depth), so a chain of sums reuses the same few strings
-    at every level, and a tree of any depth is written without recursion.
+
+def _decompose_json(t: trees.DecompTree, depth: int) -> tuple[dict, _JsonText, int]:
+    """The ``tree_json`` form, the ``chains`` records and the odd chain count
+    of `cmd_decompose`, for payload values at ``depth``, from one loop over
+    the nodes without recursion.
+
+    The form is ``{"children": [...], "skeleton": [...] | null}``: a leaf's
+    two values are plain, and any other node's are written as JSON text for
+    depth + 1.  Each item adds its leaf text, or its opening and, after its
+    children two levels deeper, its closing: the skeleton list and the
+    brackets.  Leaf texts, openings and separators are built once per depth
+    and closings once per (skeleton, depth), so a chain of sums reuses the
+    same few strings at every level.
+
+    Each internal node carries its path as JSON text: its parent's text, the
+    separator and its index.  A 12 or 21 node that is the last child of a 12
+    or 21 node continues that node's chain, and any other one heads a chain,
+    as in `trees.binary_right_chains`; nodes are met in preorder, so chains
+    are listed in preorder of their heads.
 
     >>> from gammalab import trees
-    >>> form = _tree_json(trees.decompose((2, 1)), 0)
-    >>> print(form["children"].text)
-    [
-        {
-          "children": [],
-          "skeleton": null
-        },
-        {
-          "children": [],
-          "skeleton": null
-        }
-      ]
-    >>> print(form["skeleton"].text)
-    [
-        2,
-        1
-      ]
+    >>> form, chains, odd = _decompose_json(trees.decompose((1, 3, 2)), 0)
+    >>> json.loads(form["skeleton"].text), json.loads(chains.text), odd
+    ([1, 2], [{'labels': ['12', '21'], 'length': 2, 'odd': False, 'paths': [[], [1]]}], 0)
     """
     if t.skeleton is None:
-        return {"children": [], "skeleton": None}
-    levels: dict[int, tuple[str, ...]] = {}
-    closings: dict[tuple, str] = {}
+        return {"children": [], "skeleton": None}, _JsonText("[]"), 0
+    levels: dict[int, tuple] = {}
 
-    def level(d: int) -> tuple[str, ...]:
+    def level(d: int) -> tuple:
         """For the items at depth d: a leaf and a node's opening, each
-        without and with the separator before it, and a node's closing: the
-        separator of its skeleton's entries and the two ends around them."""
+        without and with the separator before it; a node's closing, the
+        separator of its skeleton's entries and the two ends around them;
+        and the closings made so far, by skeleton."""
         pad = "\n" + "  " * d
         inner = pad + "  "
         item = inner + "  "
         leaf = "{" + inner + '"children": [],' + inner + '"skeleton": null' + pad + "}"
         opening = "{" + inner + '"children": [' + item
         found = levels[d] = (leaf, "," + pad + leaf, opening, "," + pad + opening, "," + item,
-                             inner + "]," + inner + '"skeleton": [' + item, inner + "]" + pad + "}")
+                             inner + "]," + inner + '"skeleton": [' + item, inner + "]" + pad + "}",
+                             {})
         return found
 
-    pad = "\n" + "  " * (depth + 1)
-    item = pad + "  "
-    root_skeleton = "[" + item + ("," + item).join(map(str, t.skeleton)) + pad + "]"
-    parts = ["[" + item]
+    # pads[k] is the line break and indent at depth + k.
+    pads = ["\n" + "  " * d for d in range(depth, depth + 5)]
+    path_open, path_sep, path_close = "[" + pads[4], "," + pads[4], pads[3] + "]"
+    chains: list[tuple[list[str], list[str]]] = []  # each chain's labels and paths
+    item = pads[2]
+    root_skeleton = "[" + item + ("," + item).join(map(str, t.skeleton)) + pads[1] + "]"
+    parts: list[str] = []
     append = parts.append
-    stack: list = [pad + "]", (t.children, depth + 2)]
+    # Texts, and internal nodes, each as (node, the depth of its children's
+    # items, its path text without the closing bracket or "" at the root,
+    # the chain it continues, its opening).  A first child that is a leaf is
+    # appended at once, right after its parent's opening.
+    stack: list = [pads[1] + "]", (t, depth + 2, "", None, "[" + item)]
     push = stack.append
     pop = stack.pop
     while stack:
-        item = pop()
-        if item.__class__ is str:
-            append(item)
+        entry = pop()
+        if entry.__class__ is str:
+            append(entry)
             continue
-        children, d = item
-        leaf, sep_leaf, opening, sep_opening, sep, head, tail = levels.get(d) or level(d)
-        for i in range(len(children) - 1, -1, -1):
+        sub, d, path, chain, opening = entry
+        append(opening)
+        skeleton, children = sub
+        label = _CHAIN_LABELS.get(skeleton)
+        if label is None:
+            chain = None
+        else:
+            if chain is None:
+                chain = ([], [])
+                chains.append(chain)
+            chain[0].append(label)
+            chain[1].append(path + path_close if path else "[]")
+        step = path + path_sep if path else path_open
+        leaf, sep_leaf, opening, sep_opening, sep, head, tail, closings = levels.get(d) or level(d)
+        last = len(children) - 1
+        for i in range(last, -1, -1):
             child = children[i]
             skeleton = child.skeleton
             if skeleton is None:
-                push(sep_leaf if i else leaf)
+                if i:
+                    push(sep_leaf)
+                else:
+                    append(leaf)
                 continue
-            closing = closings.get((skeleton, d))
+            closing = closings.get(skeleton)
             if closing is None:
-                closing = closings[skeleton, d] = head + sep.join(map(str, skeleton)) + tail
+                closing = closings[skeleton] = head + sep.join(map(str, skeleton)) + tail
             push(closing)
-            push((child.children, d + 2))
-            push(sep_opening if i else opening)
-    return {"children": _JsonText("".join(parts)), "skeleton": _JsonText(root_skeleton)}
-
-
-class _IntTexts(dict):
-    """int -> its decimal text, each made once."""
-
-    def __missing__(self, value: int) -> str:
-        text = self[value] = str(value)
-        return text
-
-
-def _chains_json_text(part: trees.ChainPartition, depth: int) -> _JsonText:
-    """The ``chains`` records of `cmd_decompose` as ``json.dumps(...,
-    indent=2, sort_keys=True)`` writes them at ``depth`` of the payload: each
-    path is written with one join.
-
-    >>> from gammalab import trees
-    >>> part = trees.binary_right_chains(trees.decompose((1, 3, 2)))
-    >>> print(_chains_json_text(part, 0).text)
-    [
-      {
-        "labels": [
-          "12",
-          "21"
-        ],
-        "length": 2,
-        "odd": false,
-        "paths": [
-          [],
-          [
-            1
-          ]
-        ]
-      }
-    ]
-    """
-    if not part.chains:
-        return _JsonText("[]")
-    # pads[k] is the line break and indent at depth + k.
-    pads = ["\n" + "  " * d for d in range(depth, depth + 5)]
-    record_sep = "," + pads[1]
+            push((child, d + 2, step + str(i), chain if i == last else None,
+                  sep_opening if i else opening))
+    form = {"children": _JsonText("".join(parts)), "skeleton": _JsonText(root_skeleton)}
+    if not chains:
+        return form, _JsonText("[]"), 0
     item_sep = "," + pads[3]
-    path_open, path_sep, path_close = "[" + pads[4], "," + pads[4], pads[3] + "]"
     labels_head = "{" + pads[2] + '"labels": [' + pads[3]
     length_head = pads[2] + "]," + pads[2] + '"length": '
-    odd_head = "," + pads[2] + '"odd": '
+    odd = ("," + pads[2] + '"odd": false', "," + pads[2] + '"odd": true')
     paths_head = "," + pads[2] + '"paths": [' + pads[3]
     tail = pads[2] + "]" + pads[1] + "}"
-    labels: dict[tuple[int, ...], str] = {}
-    index_text = _IntTexts().__getitem__  # paths repeat a few small indices
-    records = []
-    for paths, skeletons in zip(part.chains, part.skeletons):
-        for skeleton in skeletons:
-            if skeleton not in labels:
-                labels[skeleton] = encode_basestring_ascii("".join(map(str, skeleton)))
-        records.append("".join([
-            labels_head, item_sep.join([labels[s] for s in skeletons]),
-            length_head, str(len(paths)),
-            odd_head, "true" if len(paths) % 2 else "false",
-            paths_head,
-            item_sep.join([path_open + path_sep.join(map(index_text, path)) + path_close
-                           if path else "[]"
-                           for path in paths]),
-            tail,
-        ]))
-    return _JsonText("[" + pads[1] + record_sep.join(records) + pads[0] + "]")
+    records = ("".join([labels_head, item_sep.join(labels), length_head, str(len(labels)),
+                        odd[len(labels) % 2], paths_head, item_sep.join(paths), tail])
+               for labels, paths in chains)
+    text = "[" + pads[1] + ("," + pads[1]).join(records) + pads[0] + "]"
+    return form, _JsonText(text), sum(len(labels) % 2 for labels, _ in chains)
 
 
 def _compact_json_parts(value: object) -> list[str]:
@@ -446,15 +415,16 @@ def cmd_decompose(args: argparse.Namespace) -> int:
     from . import permutations, trees
     p = permutations.parse_permutation(args.perm)
     t = trees.decompose(p)
-    part = trees.binary_right_chains(t)
+    tree, simplified = trees._bracket_text(t, trees._skeleton_text, trees._length_text)
     # The two bulk values, pre-rendered for depth 1 of the payload.
+    tree_json, chains, odd_chain_count = _decompose_json(t, 1)
     payload = {
         "permutation": permutations.format_permutation(p),
-        "tree": trees.tree_text(t),
-        "tree_json": _tree_json(t, 1),
-        "chains": _chains_json_text(part, 1),
-        "odd_chain_count": part.odd_chain_count,
-        "simplified": trees.simplified_text(t),
+        "tree": tree,
+        "tree_json": tree_json,
+        "chains": chains,
+        "odd_chain_count": odd_chain_count,
+        "simplified": simplified,
     }
     _emit(payload, args)
     return EXIT_OK

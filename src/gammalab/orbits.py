@@ -12,8 +12,8 @@ descent from ides to des or back.  Each orbit therefore contributes a single
 gamma-basis element to the joint (des, ides) distribution, with exponents read
 off the orbit's minimal representative: the unique tree whose odd chains all
 start with 12 and whose length-4 nodes are all labeled 2413.  The chains
-come from `trees.binary_right_chains`, the one walk that follows them: the
-moves, the minimal representative and its signature all read that partition.
+come from `trees.binary_right_chains`, the one chain partition of this
+module: the moves, the minimal representative and its signature all read it.
 
 The class report never builds a tree.  A node's minimal representative is
 made from its children's, so the orbits of one size come from those of

@@ -24,6 +24,7 @@ A tree's *shape* keeps only its skeletons' lengths, and is its text:
 """
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Callable, Iterator, NamedTuple
 
 from .errors import StructureError
@@ -252,7 +253,7 @@ def _skeleton_text(skeleton: tuple[int, ...]) -> str:
 
 def tree_text(t: DecompTree) -> str:
     """Canonical bracketed form, '.' for leaves: ``2413[21[12[.,.],12[.,.]],21[.,.],.,12[.,.]]``."""
-    return _bracket_text(t, _skeleton_text)
+    return _bracket_text(t, _skeleton_text)[0]
 
 
 def simplified_text(t: DecompTree) -> str:
@@ -262,39 +263,65 @@ def simplified_text(t: DecompTree) -> str:
     >>> simplified_text(decompose((4, 5, 2, 3, 9, 8, 1, 6, 7)))
     '4[2[2[.,.],2[.,.]],2[.,.],.,2[.,.]]'
     """
-    return _bracket_text(t, lambda skeleton: str(len(skeleton)))
+    return _bracket_text(t, _length_text)[0]
 
 
-def _bracket_text(t: DecompTree, label: Callable[[tuple[int, ...]], str]) -> str:
+def _length_text(skeleton: tuple[int, ...]) -> str:
+    return str(len(skeleton))
+
+
+# The bracket stream's fixed pieces, by code; each distinct skeleton's
+# ``label[`` takes the next code.
+_BRACKETS = ("]", ",", ",.", ".", ",.]")
+
+
+def _bracket_text(t: DecompTree, *labels: Callable[[tuple[int, ...]], str]) -> list[str]:
     """``t`` in brackets, '.' for a leaf and ``label(skeleton)`` before each
-    node's children: the one writer of `tree_text` and `simplified_text`.
-    One stack walk, so a tree of any depth renders."""
+    node's children, once for each label: the one writer of `tree_text` and
+    `simplified_text`.  One stack walk records the bracket stream as small
+    int codes, and each text is one join of those codes through its own
+    table, so a tree of any depth renders and a second text costs no walk.
+
+    >>> _bracket_text(decompose((2, 4, 1, 3, 5)), _skeleton_text, _length_text)
+    ['12[2413[.,.,.,.],.]', '2[4[.,.,.,.],.]']
+    """
     if t.skeleton is None:
-        return "."
-    heads: dict[tuple[int, ...], str] = {}
-    parts: list[str] = []
-    append = parts.append
+        return ["."] * len(labels)
+    codes: dict[tuple[int, ...], int] = {}
+    stream: list[int] = []
+    append = stream.append
+    # Subtrees and the codes that follow them, popped in text order.  A
+    # leaf's code is appended at once where nothing can come before it.
     stack: list = [t]
     push, pop = stack.append, stack.pop
     while stack:
         item = pop()
-        if item.__class__ is str:
+        if item.__class__ is int:
             append(item)
             continue
         skeleton = item.skeleton
-        head = heads.get(skeleton)
-        if head is None:
-            head = heads[skeleton] = label(skeleton) + "["
-        append(head)
-        push("]")
+        code = codes.get(skeleton)
+        if code is None:
+            code = codes[skeleton] = len(codes) + len(_BRACKETS)
+        append(code)
         children = item.children
-        for i in range(len(children) - 1, 0, -1):
+        last = len(children) - 1
+        child = children[last]
+        if child.skeleton is None:
+            push(4)  # ",.]"
+        else:
+            stack += (0, child, 1)  # popped as ",", the child, "]"
+        for i in range(last - 1, 0, -1):
             child = children[i]
             if child.skeleton is None:
-                push(",.")
+                push(2)  # ",."
             else:
-                push(child)
-                push(",")
+                stack += (child, 1)
         child = children[0]
-        push("." if child.skeleton is None else child)
-    return "".join(parts)
+        if child.skeleton is None:
+            append(3)  # "."
+        else:
+            push(child)
+    pick = itemgetter(*stream)  # at least three codes, so it returns a tuple
+    return ["".join(pick(table))
+            for table in [_BRACKETS + tuple(label(s) + "[" for s in codes) for label in labels]]

@@ -24,7 +24,7 @@ def leaf_count(t: DecompTree) -> int:
 
 def tree_json(t: DecompTree) -> dict:
     """JSON form {skeleton: [...] | null, children: [...]}: the reference of
-    ``cli._tree_json``, whose two values the CLI writes as text.  One level
+    ``cli._decompose_json``, whose two values the CLI writes as text.  One level
     of recursion per tree level."""
     return {
         "skeleton": list(t.skeleton) if t.skeleton is not None else None,

@@ -801,7 +801,8 @@ def test_tree_json_text_writes_a_deep_chain_without_recursion():
     # A chain of 600 binary nodes, rendered under a recursion limit 50 frames
     # above the caller's: a renderer with one frame per level would need 600.
     # (Its text grows with the square of the depth: 5000 levels would be
-    # about 550 MB per rendering.)
+    # about 550 MB per rendering.)  Its chain records and both bracket texts
+    # are written under the same limit.
     t = trees.LEAF
     for i in range(600):
         t = node((1, 2) if i % 2 else (2, 1), trees.LEAF, t)
@@ -813,17 +814,25 @@ def test_tree_json_text_writes_a_deep_chain_without_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(stack_depth() + 50)
     try:
-        forms = [cli._tree_json(t, depth) for depth in range(4)]
+        written = [cli._decompose_json(t, depth) for depth in range(4)]
+        texts = trees._bracket_text(t, trees._skeleton_text, trees._length_text)
         with pytest.raises(RecursionError):
             tree_json(t)
     finally:
         sys.setrecursionlimit(limit)
-    for depth, form in enumerate(forms):
+    labels = ["12" if i % 2 else "21" for i in range(599, -1, -1)]
+    records = [{"labels": labels, "length": 600, "odd": False,
+                "paths": [[1] * k for k in range(600)]}]
+    for depth, (form, chains, odd_chain_count) in enumerate(written):
         # The node's own text at ``depth``, around its two pre-rendered values.
         pad, inner = "\n" + "  " * depth, "\n" + "  " * (depth + 1)
         text = ("{" + inner + '"children": ' + form["children"].text + "," + inner
                 + '"skeleton": ' + form["skeleton"].text + pad + "}")
         assert text == right_chain_json(t, depth), depth
+        assert chains.text == json_at_depth(records, depth), depth
+        assert odd_chain_count == 0
+    assert texts == ["".join(label + "[.," for label in labels) + "." + "]" * 600,
+                     "2[.," * 600 + "." + "]" * 600]
 
 
 @settings(max_examples=200, deadline=None)
