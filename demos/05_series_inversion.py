@@ -34,7 +34,7 @@ print(f"skew-indecomposable x^4: {i_minus.coeff(4).text()}")
 print()
 
 S = simple_series(N, method="inversion")
-S_direct = simple_series(N, method="enumerate", threads=0)
+S_direct = simple_series(N, method="enumerate")
 print(f"simple series to order {N} by both routes")
 for n in range(4, N + 1):
     assert S.coeff(n) == S_direct.coeff(n)

@@ -83,9 +83,9 @@ def _methods_help(table: dict[str, dict[str, Route]]) -> str:
         + " (the first is the default)"
 
 
-def _long_run_help(table: dict[str, dict[str, Route]], flag: str) -> str:
+def _long_run_help(table: dict[str, dict[str, Route]]) -> str:
     return "acknowledge a long run, needed by " + ", ".join(
-        f"{quantity}/{method} past {flag} {route.long_run}" for quantity, routes in table.items()
+        f"{quantity}/{method} past --max-n {route.long_run}" for quantity, routes in table.items()
         for method, route in routes.items() if route.long_run is not None)
 
 
@@ -117,8 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_poly.add_argument("--target", required=True, choices=list(ROUTES["poly"]))
     p_poly.add_argument("--n", type=_positive, required=True)
     p_poly.add_argument("--method", default=None, help=_methods_help(ROUTES["poly"]))
-    p_poly.add_argument("--long-run", action="store_true",
-                        help=_long_run_help(ROUTES["poly"], "--n"))
     _add_common(p_poly)
     p_poly.set_defaults(run=lambda args: cmd_poly(args))
 
@@ -126,8 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", required=True, choices=list(ROUTES["verify"]))
     p_ver.add_argument("--max-n", type=_positive, default=10)
     p_ver.add_argument("--method", default=None, help=_methods_help(ROUTES["verify"]))
-    p_ver.add_argument("--long-run", action="store_true",
-                       help=_long_run_help(ROUTES["verify"], "--max-n"))
+    p_ver.add_argument("--long-run", action="store_true", help=_long_run_help(ROUTES["verify"]))
     _add_common(p_ver)
     p_ver.set_defaults(run=lambda args: cmd_verify(args))
 
@@ -432,9 +429,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 class Route(NamedTuple):
     """One way to compute a poly target's polynomial, or a verify suite's
-    ``(ok, results)`` up to ``--max-n``: ``run(n, args)``.  Past ``cap`` it
-    refuses n, and past ``long_run`` (None: nowhere) it needs --long-run."""
-    run: Callable[[int, argparse.Namespace], Any]
+    ``(ok, results)`` up to ``--max-n``: ``run(n)``, a function of n alone.
+    Past ``cap`` it refuses n, and past ``long_run`` (None: nowhere) it
+    needs verify's --long-run."""
+    run: Callable[[int], Any]
     cap: int
     long_run: int | None
 
@@ -442,40 +440,40 @@ class Route(NamedTuple):
         return n <= self.cap and (long_run or self.long_run is None or n <= self.long_run)
 
 
-def _eulerian_by_dp(n: int, args: argparse.Namespace) -> BivarPoly:
+def _eulerian_by_dp(n: int) -> BivarPoly:
     from .permutations import eulerian_distribution
     return eulerian_distribution(n).poly
 
 
-def _eulerian_by_rsk(n: int, args: argparse.Namespace) -> BivarPoly:
+def _eulerian_by_rsk(n: int) -> BivarPoly:
     from . import series
     return series.rsk_two_sided_eulerian(n)
 
 
-def _simple_by_inversion(n: int, args: argparse.Namespace) -> BivarPoly:
+def _simple_by_inversion(n: int) -> BivarPoly:
     from . import series
     from .polys import BivarPoly
     return series.simple_series(n, method="inversion").coeff(n) if n >= 4 else BivarPoly()
 
 
-def _simple_by_enumeration(n: int, args: argparse.Namespace) -> BivarPoly:
+def _simple_by_enumeration(n: int) -> BivarPoly:
     from .permutations import simple_distribution
     from .polys import BivarPoly
-    return simple_distribution(n, threads=args.threads).poly if n >= 4 else BivarPoly()
+    return simple_distribution(n).poly if n >= 4 else BivarPoly()
 
 
-def _closure(k: int) -> Callable[[int, argparse.Namespace], BivarPoly]:
+def _closure(k: int) -> Callable[[int], BivarPoly]:
     """The route of the closure of the simple permutations of length <= k."""
-    def run(n: int, args: argparse.Namespace) -> BivarPoly:
+    def run(n: int) -> BivarPoly:
         from . import orbits
         return orbits.closure_distribution(n, k)
     return run
 
 
-def _conjecture(max_n: int, args: argparse.Namespace, method: str) -> tuple[bool, list]:
+def _conjecture(max_n: int, method: str) -> tuple[bool, list]:
     from . import series
     from .polys import gamma_expand_bivariate
-    S = series.simple_series(max(max_n, 4), method=method, threads=args.threads)
+    S = series.simple_series(max(max_n, 4), method=method)
     results = []
     for n in range(4, max_n + 1):
         expansion = gamma_expand_bivariate(S.coeff(n), n - 1)
@@ -483,7 +481,7 @@ def _conjecture(max_n: int, args: argparse.Namespace, method: str) -> tuple[bool
     return all(r["positive"] for r in results), results
 
 
-def _reduction(max_n: int, args: argparse.Namespace) -> tuple[bool, list]:
+def _reduction(max_n: int) -> tuple[bool, list]:
     from . import orbits
     results = []
     for n in range(1, max_n + 1):
@@ -493,13 +491,13 @@ def _reduction(max_n: int, args: argparse.Namespace) -> tuple[bool, list]:
     return all(r["pass"] for r in results), results
 
 
-def _system(max_n: int, args: argparse.Namespace) -> tuple[bool, list]:
+def _system(max_n: int) -> tuple[bool, list]:
     from . import series
     report = series.verify_system_identities(max_n)
     return report.ok, [{"check": name, "pass": passed} for name, passed in report.checks]
 
 
-def _lemma39(max_n: int, args: argparse.Namespace) -> tuple[bool, list]:
+def _lemma39(max_n: int) -> tuple[bool, list]:
     from . import orbits
     results = []
     for report in orbits.closure_class_reports(max_n):
@@ -544,16 +542,17 @@ def _classes_json_text(report: orbits.ClosureClassReport) -> _JsonText:
 # function imports its library module when it runs and finds its library
 # function there by name, so a wrapper installed on that name sees the CLI's
 # calls too; the caps come from `errors`, so building the table loads no
-# library module.  The rows that enumerate S_n, or the closure classes, need
-# --long-run past 10.  The simple-permutation rows do not: their prefix DP
-# ran `poly --target simple --method enumerate --n 12` in 1.0-1.4 s and
-# `verify --suite conjecture --method enumerate --max-n 12` in 1.3-1.9 s,
-# each in a fresh process with a VmHWM of 54 MB (three runs each, 2-vCPU VM,
-# Python 3.11).
+# library module.  Only the reduction row needs --long-run past 10: its
+# --max-n 10 takes 15 s.  The rest run to their caps without it.  In a fresh
+# process (three runs each, 2-vCPU VM, Python 3.11) `poly --target eulerian
+# --n 12` took 0.085-0.13 s with a VmHWM of 23 MB, `verify --suite lemma39
+# --max-n 11` 2.1-2.4 s and 412-415 MB, `poly --target simple --method
+# enumerate --n 12` 1.0-1.4 s and 54 MB, and `verify --suite conjecture
+# --method enumerate --max-n 12` 1.3-1.9 s and 54 MB.
 ROUTES: dict[str, dict[str, dict[str, Route]]] = {
     "poly": {
         "eulerian": {
-            "enumerate": Route(_eulerian_by_dp, MAX_ENUMERATION_N, 10),
+            "enumerate": Route(_eulerian_by_dp, MAX_ENUMERATION_N, None),
             "rsk": Route(_eulerian_by_rsk, MAX_RSK_N, None),
         },
         "simple": {
@@ -565,14 +564,12 @@ ROUTES: dict[str, dict[str, dict[str, Route]]] = {
     },
     "verify": {
         "conjecture": {
-            "inversion": Route(lambda n, args: _conjecture(n, args, "inversion"),
-                               MAX_RSK_N, None),
-            "enumerate": Route(lambda n, args: _conjecture(n, args, "enumerate"),
-                               MAX_ENUMERATION_N, None),
+            "inversion": Route(lambda n: _conjecture(n, "inversion"), MAX_RSK_N, None),
+            "enumerate": Route(lambda n: _conjecture(n, "enumerate"), MAX_ENUMERATION_N, None),
         },
         "reduction": {"enumerate": Route(_reduction, MAX_ENUMERATION_N, 10)},
         "system": {"rsk": Route(_system, MAX_RSK_N, None)},
-        "lemma39": {"trees": Route(_lemma39, MAX_CLOSURE_TREE_N, 10)},
+        "lemma39": {"trees": Route(_lemma39, MAX_CLOSURE_TREE_N, None)},
     },
 }
 
@@ -589,7 +586,7 @@ def _route(args: argparse.Namespace, n: int) -> tuple[str, Route]:
     if route is None:
         raise ParseError(f"--method {method!r} is not available for {quantity}; "
                          f"choose from {', '.join(routes)}")
-    if route.admits(n, args.long_run):
+    if route.admits(n, args.command == "verify" and args.long_run):
         return method, route
     flag = "--n" if args.command == "poly" else "--max-n"
     hint = " or ".join(f"--method {other}" for other, r in routes.items()
@@ -605,7 +602,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
     from .polys import gamma_expand_bivariate
     n = args.n
     method, route = _route(args, n)
-    poly = route.run(n, args)
+    poly = route.run(n)
     expansion = gamma_expand_bivariate(poly, n - 1)
     payload = {
         "target": args.target,
@@ -621,7 +618,7 @@ def cmd_poly(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     _, route = _route(args, args.max_n)
-    ok, results = route.run(args.max_n, args)
+    ok, results = route.run(args.max_n)
     _emit({"suite": args.suite, "ok": ok, "results": results}, args)
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 

@@ -31,9 +31,9 @@ MAX_RSK_N = 14
 # The size cap of the class DP and of `orbits.closure_trees`.  On a 2-vCPU
 # host (fresh processes, three runs each, peak RSS from `wait4`)
 # `verify --suite lemma39 --max-n 10 --format json` takes 0.44-0.77 s and
-# peaks at 88 MB, and `--max-n 11 --long-run` 2.4-3.0 s and 410 MB
+# peaks at 88 MB, and `--max-n 11`, which needs no flag, 2.4-3.0 s and 410 MB
 # (`closure_class_report(11)` alone: 2.3-2.4 s, 331 MB, 424330 classes).  With
-# the cap lifted, `--max-n 12 --long-run` took 27 s and 2.6 GB (the checks
+# the cap lifted, `--max-n 12` took 27 s and 2.6 GB (the checks
 # alone 20 s and 1.9 GB, for 2136070 classes), so n = 12 is refused before
 # anything is built; `closure_trees(11, 5)` already returns 5.75M trees.
 MAX_CLOSURE_TREE_N = 11

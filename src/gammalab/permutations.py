@@ -481,20 +481,18 @@ def _eulerian_counts(n: int) -> int:
     Appending v after ``last`` adds [last > v] to des and [v - 1 not yet
     placed] to ides (v now stands left of v - 1).  Both increments depend only
     on the placed set and the last value, so each layer maps the state
-    (placed bitmask, last value), keyed ``placed << 4 | last`` (last <= 12),
-    to the packed tally of its prefixes, and a step is one ``tally << shift``
-    add.  No permutation is built, and the whole of S_n is counted: nothing
-    is mirrored.
+    (placed bitmask, last value) to the packed tally of its prefixes, and a
+    step is one ``tally << shift`` add.  No permutation is built, and the
+    whole of S_n is counted: nothing is mirrored.
     """
     pack = _tally_packing(n)
     step_d, step_e = pack.shift(1, 0), pack.shift(0, 1)
     full = (1 << n) - 1
-    layer = {1 << (v + 3) | v: 1 << (step_e if v > 1 else 0) for v in range(1, n + 1)}
+    layer = {(1 << (v - 1), v): 1 << (step_e if v > 1 else 0) for v in range(1, n + 1)}
     for _ in range(n - 1):
-        nxt: dict[int, int] = {}
+        nxt: dict[tuple[int, int], int] = {}
         get = nxt.get
-        for key, tally in layer.items():
-            placed, last = key >> 4, key & 15
+        for (placed, last), tally in layer.items():
             free = full ^ placed
             while free:
                 bit = free & -free
@@ -502,7 +500,7 @@ def _eulerian_counts(n: int) -> int:
                 v = bit.bit_length()
                 # v - 1 unplaced: bit >> 1 is a free value's bit, or 0 for v = 1
                 shift = (step_d if last > v else 0) + (step_e if (bit >> 1) & ~placed else 0)
-                target = (placed | bit) << 4 | v
+                target = (placed | bit, v)
                 nxt[target] = get(target, 0) + (tally << shift)
         layer = nxt
     return sum(layer.values())

@@ -297,14 +297,13 @@ def indecomposable_series(F: PowerSeries) -> tuple[PowerSeries, PowerSeries]:
     return i_plus, i_minus
 
 
-def simple_series(N: int, method: str = "inversion", threads: int = 1) -> PowerSeries:
+def simple_series(N: int, method: str = "inversion") -> PowerSeries:
     """S(x) with coefficient simp_n(s,t) at x^n (zero below n = 4).
 
     method='inversion' derives the coefficients from the compositional inverse
     of the Eulerian series from the tableau route; method='enumerate' tallies
     the simple permutations directly, by the prefix DP of
-    `simple_distribution`.  The two agree everywhere.  ``threads`` is
-    accepted and not read.
+    `simple_distribution`.  The two agree everywhere.
     """
     if N < 4:
         raise ValueError("order must be at least 4; shorter coefficients all vanish")
@@ -312,9 +311,7 @@ def simple_series(N: int, method: str = "inversion", threads: int = 1) -> PowerS
         return _simple_from_inverse(functional_inverse(eulerian_series(N)))
     if method == "enumerate":
         check_size(N, MAX_ENUMERATION_N, "the simple series by enumeration (use method='inversion')")
-        coeffs = [ZERO] * 4 + [
-            simple_distribution(n, threads=threads).poly for n in range(4, N + 1)
-        ]
+        coeffs = [ZERO] * 4 + [simple_distribution(n).poly for n in range(4, N + 1)]
         return PowerSeries(N, coeffs)
     raise ValueError(f"unknown method {method!r} (expected 'inversion' or 'enumerate')")
 
@@ -377,20 +374,16 @@ def verify_system_identities(N: int) -> SystemReport:
     S = _simple_from_inverse(G)
     SoF = S.compose(F)
     st = ST
+    # The two products that the three defining identities share.
+    sum_part = i_plus * F
+    skew_part = (i_minus * F) * st
 
     checks: list[tuple[str, bool]] = []
-    checks.append((
-        "defining identity for F",
-        F == x + i_plus * F + (i_minus * F) * st + SoF,
-    ))
-    checks.append((
-        "defining identity for the sum-indecomposable series",
-        i_plus == x + (i_minus * F) * st + SoF,
-    ))
-    checks.append((
-        "defining identity for the skew-indecomposable series",
-        i_minus == x + i_plus * F + SoF,
-    ))
+    checks.append(("defining identity for F", F == x + sum_part + skew_part + SoF))
+    checks.append(("defining identity for the sum-indecomposable series",
+                   i_plus == x + skew_part + SoF))
+    checks.append(("defining identity for the skew-indecomposable series",
+                   i_minus == x + sum_part + SoF))
     one_plus_f = _one(N) + F
     one_plus_stf = _one(N) + F * st
     checks.append(("solution I+ * (1+F) = F", i_plus * one_plus_f == F))

@@ -1,4 +1,6 @@
 """The command-line interface: outputs, formats, determinism, exit codes."""
+import contextlib
+import io
 import itertools
 import json
 import os
@@ -166,12 +168,9 @@ def test_poly_h5():
 
 
 def test_poly_resource_exit_code():
-    proc = run_cli("poly", "--target", "eulerian", "--n", "11", "--method", "enumerate")
-    assert proc.returncode == 3
-    assert "--long-run" in proc.stderr
     proc = run_cli("poly", "--target", "eulerian", "--n", "13", "--method", "enumerate")
     assert proc.returncode == 3
-    proc = run_cli("verify", "--suite", "lemma39", "--max-n", "11")
+    proc = run_cli("verify", "--suite", "reduction", "--max-n", "11")
     assert proc.returncode == 3
     assert "--long-run" in proc.stderr
     assert "Traceback" not in proc.stderr
@@ -220,7 +219,8 @@ def test_every_route_refuses_past_its_cap_and_its_long_run(command, quantity, me
     route = cli.ROUTES[command][quantity][method]
     n = route.cap + 1
     start = time.perf_counter()
-    proc = run_cli(*route_argv(command, quantity, method, n), "--long-run")
+    long_run = ["--long-run"] if command == "verify" else []
+    proc = run_cli(*route_argv(command, quantity, method, n), *long_run)
     assert time.perf_counter() - start < 10
     assert_refused(proc, command, quantity, method, n)
     if route.long_run is not None:
@@ -230,19 +230,30 @@ def test_every_route_refuses_past_its_cap_and_its_long_run(command, quantity, me
         assert "--long-run" in proc.stderr
 
 
-@pytest.mark.parametrize("command", ["poly", "verify"])
-def test_long_run_help_names_exactly_the_routes_that_need_it(command, capsys):
+def test_long_run_help_names_exactly_the_routes_that_need_it(capsys):
     with pytest.raises(SystemExit):
-        cli.main([command, "--help"])
+        cli.main(["poly", "--help"])
+    assert "--long-run" not in capsys.readouterr().out
+    assert all(route.long_run is None for routes in cli.ROUTES["poly"].values()
+               for route in routes.values())
+    with pytest.raises(SystemExit):
+        cli.main(["verify", "--help"])
     text = " ".join(capsys.readouterr().out.split())
-    flag = "--n" if command == "poly" else "--max-n"
-    named = re.findall(rf"(\w+)/(\w+) past {flag} (\d+)", text)
-    expected = [(quantity, method, str(route.long_run))
-                for quantity, routes in cli.ROUTES[command].items()
-                for method, route in routes.items() if route.long_run is not None]
-    # poly: eulerian/enumerate; verify: reduction and lemma39.
-    assert named == expected and len(expected) >= {"poly": 1, "verify": 2}[command]
+    assert re.findall(r"(\w+)/(\w+) past --max-n (\d+)", text) == [("reduction", "enumerate", "10")]
     assert "full-enumeration" not in text
+
+
+def test_poly_refuses_long_run_as_an_unknown_option():
+    proc = run_cli("poly", "--target", "eulerian", "--n", "4", "--long-run")
+    assert_usage_error(proc, "--long-run")
+    assert proc.stderr.startswith("usage: gammalab poly ")
+
+
+def test_poly_eulerian_runs_the_dp_to_its_cap_without_long_run():
+    for n in ("11", "12"):
+        dp = run_json("poly", "--target", "eulerian", "--n", n)
+        rsk = run_json("poly", "--target", "eulerian", "--n", n, "--method", "rsk")
+        assert [dp[k] for k in ("polynomial", "gamma")] == [rsk[k] for k in ("polynomial", "gamma")]
 
 
 def test_route_pairs_cover_every_quantity_with_two_routes():
@@ -337,7 +348,7 @@ def test_an_unknown_option_is_reported_by_the_parser_it_stands_under(args, usage
 @pytest.mark.parametrize("error", [StructureError, ExpansionError, InversionError,
                                    DistributionError, ValueError])
 def test_a_library_error_is_one_usage_error_line(error, monkeypatch, capsys):
-    def fail(n, args):
+    def fail(n):
         raise error("malformed")
 
     routes = cli.ROUTES["poly"]["eulerian"]
@@ -611,6 +622,85 @@ def test_threads_defaults_to_zero_whatever_the_environment(monkeypatch):
     assert cli.main(argv) == 0
     assert cli.main(argv + ["--threads", "5"]) == 0
     assert seen == [0, 0, 5]
+
+
+def permutation_text(k, sep):
+    return st.permutations(range(1, k + 1)).map(lambda p: sep.join(map(str, p)))
+
+
+# Permutation texts of at most 64 characters: valid ones with each separator,
+# and strings over digits, separators and look-alikes, which give empty comma
+# fields, Unicode digits, repeats, out-of-range values and the empty string.
+PERM_TEXTS = (
+    st.integers(1, 9).flatmap(lambda k: permutation_text(k, ""))
+    | st.tuples(st.integers(1, 20), st.sampled_from([" ", ","])).flatmap(
+        lambda ks: permutation_text(*ks))
+    | st.text(st.sampled_from("0123456789 ,-_x\u0661\u00b2\u2074"), max_size=64)
+)
+OUTSIDE_THE_CAPS = 10 ** 30
+
+
+@st.composite
+def cli_argvs(draw):
+    """An argv for `cli.main`: a subcommand or an unknown word, then a
+    shuffled subset of its options, ``--long-run`` on ``poly`` and an
+    unknown flag, with values valid or not.  A size is -1, 0, 1..6, one past
+    its route's cap or 10**30, so every run that starts is small, and
+    ``--output`` names only the null device or a path below it, in a
+    directory that cannot exist, so nothing is written.
+
+    An optional option is kept on a coin toss.  A bogus word or value, a
+    dropped required option, an unknown flag, -h and poly's --long-run come
+    once in eight draws each, so most argvs reach a route.  verify's
+    --max-n is always given: its default 10 is a long reduction."""
+    def rarely():
+        return draw(st.integers(0, 7)) == 0
+
+    def valid_or(values, bogus):
+        return bogus if rarely() else draw(st.sampled_from(values))
+
+    command = valid_or(["stats", "decompose", "poly", "verify"], "bogus")
+    optional = [["--format", valid_or(["text", "json", "csv"], "yaml")],
+                ["--output", draw(st.sampled_from([os.devnull, os.path.join(os.devnull, "x")]))]]
+    required, chosen = [], []
+    if command in ("stats", "decompose"):
+        required.append([draw(PERM_TEXTS)])
+    elif command in ("poly", "verify"):
+        table = cli.ROUTES[command]
+        key, size_flag = ("--target", "--n") if command == "poly" else ("--suite", "--max-n")
+        quantity = valid_or(list(table), "bogus")
+        routes = table.get(quantity, {})
+        method = valid_or([None, *routes], "bogus")
+        route = routes.get(method) or next(iter(routes.values()), None)
+        sizes = [-1, 0, 1, 2, 3, 4, 5, 6, (route.cap if route else 1) + 1, OUTSIDE_THE_CAPS]
+        size = [size_flag, str(draw(st.sampled_from(sizes)))]
+        required.append([key, quantity])
+        (chosen if command == "verify" else required).append(size)
+        optional.append(["--threads", draw(st.sampled_from(["-1", "0", "2", str(OUTSIDE_THE_CAPS)]))])
+        if method is not None:
+            optional.append(["--method", method])
+        if command == "verify":
+            optional.append(["--long-run"])
+        elif rarely():
+            chosen.append(["--long-run"])
+    chosen += [option for option in optional if draw(st.booleans())]
+    chosen += [option for option in required if not rarely()]
+    chosen += [[flag] for flag in ("--bogus", "-h") if rarely()]
+    return [command] + list(itertools.chain.from_iterable(draw(st.permutations(chosen))))
+
+
+@settings(max_examples=500, deadline=None)
+@given(cli_argvs())
+def test_any_argv_exits_with_a_documented_code(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), (argv, code, err.getvalue())
+    if code == 3:
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, argv
 
 
 # Strings whose JSON text holds the splice marker '"\u0000"' are left out
