@@ -44,6 +44,7 @@ from .errors import (
     MAX_CLOSURE_SERIES_N,
     MAX_CLOSURE_TREE_N,
     MAX_ENUMERATION_N,
+    MAX_REDUCTION_N,
     MAX_RSK_N,
     GammalabError,
     ParseError,
@@ -83,12 +84,6 @@ def _methods_help(table: dict[str, dict[str, Route]]) -> str:
         + " (the first is the default)"
 
 
-def _long_run_help(table: dict[str, dict[str, Route]]) -> str:
-    return "acknowledge a long run, needed by " + ", ".join(
-        f"{quantity}/{method} past --max-n {route.long_run}" for quantity, routes in table.items()
-        for method, route in routes.items() if route.long_run is not None)
-
-
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: ``parse_args`` keeps no
@@ -122,9 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="exhaustive verification suites")
     p_ver.add_argument("--suite", required=True, choices=list(ROUTES["verify"]))
-    p_ver.add_argument("--max-n", type=_positive, default=10)
+    p_ver.add_argument("--max-n", type=_positive, required=True)
     p_ver.add_argument("--method", default=None, help=_methods_help(ROUTES["verify"]))
-    p_ver.add_argument("--long-run", action="store_true", help=_long_run_help(ROUTES["verify"]))
     _add_common(p_ver)
     p_ver.set_defaults(run=lambda args: cmd_verify(args))
 
@@ -429,15 +423,10 @@ def cmd_decompose(args: argparse.Namespace) -> int:
 
 class Route(NamedTuple):
     """One way to compute a poly target's polynomial, or a verify suite's
-    ``(ok, results)`` up to ``--max-n``: ``run(n)``, a function of n alone.
-    Past ``cap`` it refuses n, and past ``long_run`` (None: nowhere) it
-    needs verify's --long-run."""
+    ``(ok, results)`` up to ``--max-n``: ``run(n)``, a function of n alone,
+    which runs every n up to ``cap`` and refuses the rest."""
     run: Callable[[int], Any]
     cap: int
-    long_run: int | None
-
-    def admits(self, n: int, long_run: bool = False) -> bool:
-        return n <= self.cap and (long_run or self.long_run is None or n <= self.long_run)
 
 
 def _eulerian_by_dp(n: int) -> BivarPoly:
@@ -542,34 +531,34 @@ def _classes_json_text(report: orbits.ClosureClassReport) -> _JsonText:
 # function imports its library module when it runs and finds its library
 # function there by name, so a wrapper installed on that name sees the CLI's
 # calls too; the caps come from `errors`, so building the table loads no
-# library module.  Only the reduction row needs --long-run past 10: its
-# --max-n 10 takes 15 s.  The rest run to their caps without it.  In a fresh
-# process (three runs each, 2-vCPU VM, Python 3.11) `poly --target eulerian
-# --n 12` took 0.085-0.13 s with a VmHWM of 23 MB, `verify --suite lemma39
-# --max-n 11` 2.1-2.4 s and 412-415 MB, `poly --target simple --method
-# enumerate --n 12` 1.0-1.4 s and 54 MB, and `verify --suite conjecture
-# --method enumerate --max-n 12` 1.3-1.9 s and 54 MB.
+# library module.  The comment on `errors.MAX_REDUCTION_N` gives the
+# reduction's cost at its cap.  In a fresh process (three runs each, 2-vCPU
+# VM, Python 3.11) `poly --target eulerian --n 12` took 0.085-0.13 s with a
+# VmHWM of 23 MB, `verify --suite lemma39 --max-n 11` 2.1-2.4 s and 412-415
+# MB, `poly --target simple --method enumerate --n 12` 1.0-1.4 s and 54 MB,
+# and `verify --suite conjecture --method enumerate --max-n 12` 1.3-1.9 s
+# and 54 MB.
 ROUTES: dict[str, dict[str, dict[str, Route]]] = {
     "poly": {
         "eulerian": {
-            "enumerate": Route(_eulerian_by_dp, MAX_ENUMERATION_N, None),
-            "rsk": Route(_eulerian_by_rsk, MAX_RSK_N, None),
+            "enumerate": Route(_eulerian_by_dp, MAX_ENUMERATION_N),
+            "rsk": Route(_eulerian_by_rsk, MAX_RSK_N),
         },
         "simple": {
-            "inversion": Route(_simple_by_inversion, MAX_RSK_N, None),
-            "enumerate": Route(_simple_by_enumeration, MAX_ENUMERATION_N, None),
+            "inversion": Route(_simple_by_inversion, MAX_RSK_N),
+            "enumerate": Route(_simple_by_enumeration, MAX_ENUMERATION_N),
         },
-        "separable": {"trees": Route(_closure(2), MAX_CLOSURE_SERIES_N, None)},
-        "h5": {"trees": Route(_closure(5), MAX_CLOSURE_SERIES_N, None)},
+        "separable": {"trees": Route(_closure(2), MAX_CLOSURE_SERIES_N)},
+        "h5": {"trees": Route(_closure(5), MAX_CLOSURE_SERIES_N)},
     },
     "verify": {
         "conjecture": {
-            "inversion": Route(lambda n: _conjecture(n, "inversion"), MAX_RSK_N, None),
-            "enumerate": Route(lambda n: _conjecture(n, "enumerate"), MAX_ENUMERATION_N, None),
+            "inversion": Route(lambda n: _conjecture(n, "inversion"), MAX_RSK_N),
+            "enumerate": Route(lambda n: _conjecture(n, "enumerate"), MAX_ENUMERATION_N),
         },
-        "reduction": {"enumerate": Route(_reduction, MAX_ENUMERATION_N, 10)},
-        "system": {"rsk": Route(_system, MAX_RSK_N, None)},
-        "lemma39": {"trees": Route(_lemma39, MAX_CLOSURE_TREE_N, None)},
+        "reduction": {"enumerate": Route(_reduction, MAX_REDUCTION_N)},
+        "system": {"rsk": Route(_system, MAX_RSK_N)},
+        "lemma39": {"trees": Route(_lemma39, MAX_CLOSURE_TREE_N)},
     },
 }
 
@@ -577,8 +566,7 @@ ROUTES: dict[str, dict[str, dict[str, Route]]] = {
 def _route(args: argparse.Namespace, n: int) -> tuple[str, Route]:
     """The --method value, or the default, and its route, checked against
     ``ROUTES``: an unknown method is a usage error, and an n past the route's
-    cap, or past its long-run threshold without --long-run, a resource bound
-    whose hint names the other methods that would run n without --long-run."""
+    cap a resource bound whose hint names the other methods that would run n."""
     quantity = args.target if args.command == "poly" else args.suite
     routes = ROUTES[args.command][quantity]
     method = args.method or next(iter(routes))
@@ -586,16 +574,13 @@ def _route(args: argparse.Namespace, n: int) -> tuple[str, Route]:
     if route is None:
         raise ParseError(f"--method {method!r} is not available for {quantity}; "
                          f"choose from {', '.join(routes)}")
-    if route.admits(n, args.command == "verify" and args.long_run):
+    if n <= route.cap:
         return method, route
     flag = "--n" if args.command == "poly" else "--max-n"
     hint = " or ".join(f"--method {other}" for other, r in routes.items()
-                       if other != method and r.admits(n)) or f"a smaller {flag}"
-    if n > route.cap:
-        raise ResourceBoundError(f"{flag} {n} is past the cap {route.cap} of {quantity} "
-                                 f"--method {method}; use {hint}")
-    raise ResourceBoundError(f"{flag} {n} is past {route.long_run} for {quantity} "
-                             f"--method {method}, so it needs --long-run; cheaper: {hint}")
+                       if other != method and n <= r.cap) or f"a smaller {flag}"
+    raise ResourceBoundError(f"{flag} {n} is past the cap {route.cap} of {quantity} "
+                             f"--method {method}; use {hint}")
 
 
 def cmd_poly(args: argparse.Namespace) -> int:

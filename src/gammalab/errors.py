@@ -1,4 +1,4 @@
-"""Exception types shared across the package, the four size bounds past
+"""Exception types shared across the package, the five size bounds past
 which the library raises `ResourceBoundError`, and `check_size`, the one
 guard that refuses a size against its bound.
 
@@ -13,10 +13,18 @@ expansion).  The bounds live here, beside the error they raise, so that
 
 # The one enumeration budget (12! is ~479M permutations).  Every S_n route
 # refuses lengths above it (`enumerate_permutations`, the Eulerian and simple
-# DPs, `orbits.verify_reduction`); `cli.ROUTES` and
-# `series.simple_series(method="enumerate")` check it before they start.  The
-# class DP and `closure_trees` are capped lower, by `MAX_CLOSURE_TREE_N`.
+# DPs); `cli.ROUTES` and `series.simple_series(method="enumerate")` check it
+# before they start.  The class DP and `closure_trees` are capped lower, by
+# `MAX_CLOSURE_TREE_N`, and the reduction by `MAX_REDUCTION_N`.
 MAX_ENUMERATION_N = 12
+
+# The size cap of `orbits.verify_reduction` and `verify --suite reduction`,
+# which walk half of S_n and split each permutation at its root.  In a fresh
+# process on a 2-vCPU host, `verify --suite reduction --max-n 10 --format
+# json` took 21.2 s and 24.4 s after start-up with a VmHWM of 94 MB, and
+# `--max-n 11` 325 s and 253 MB (one run).  `_simplified_groups` alone took
+# 0.17, 2.2 and 20.8 s at n = 8, 9 and 10, which puts n = 12 near an hour.
+MAX_REDUCTION_N = 10
 
 # The tableau route (`series.rsk_two_sided_eulerian`) is one growth-chain walk
 # over (shape, row of the last box) states, each with its descent tally packed

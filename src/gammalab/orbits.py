@@ -42,7 +42,7 @@ Eulerian polynomial into per-shape products, which is what
 
 Every size is refused by `errors.check_size` before anything is built: the
 tree routes past `MAX_CLOSURE_TREE_N`, the closure series past
-`MAX_CLOSURE_SERIES_N` and the reduction past `MAX_ENUMERATION_N`.
+`MAX_CLOSURE_SERIES_N` and the reduction past `MAX_REDUCTION_N`.
 """
 from __future__ import annotations
 
@@ -58,7 +58,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from .errors import (
     MAX_CLOSURE_SERIES_N,
     MAX_CLOSURE_TREE_N,
-    MAX_ENUMERATION_N,
+    MAX_REDUCTION_N,
     ExpansionError,
     StructureError,
     check_size,
@@ -688,7 +688,7 @@ def _simplified_groups(n: int) -> dict[str, BivarPoly]:
     reversal; the middle first value of odd n is its own mirror and is
     walked once, after that.
     """
-    check_size(n, MAX_ENUMERATION_N, "full enumeration of S_n")
+    check_size(n, MAX_REDUCTION_N, "the shape reduction of S_n")
     if n == 1:
         return {".": ONE}
     index = _ShapeIndex(n)
@@ -714,13 +714,6 @@ def _simplified_groups(n: int) -> dict[str, BivarPoly]:
     return {index.text(parts): pack.from_slots(slots) for parts, slots in tallies.items()}
 
 
-# _ShapeIndex keeps the patterns up to this length once met: all of S_1..S_9
-# is 409113 patterns, and `verify --suite reduction --max-n 10` peaks at
-# about 94 MB.  Longer parts (from n = 11) are split again where they occur,
-# so the index never grows past that.
-_SHAPE_MEMO_MAX = 9
-
-
 class _ShapeIndex(dict):
     """Pattern (as bytes) -> index in ``shapes`` of its shape text.
 
@@ -728,6 +721,10 @@ class _ShapeIndex(dict):
     and every part is a shorter pattern, so a missing pattern is indexed from
     its parts' indices, and a new shape's text is made from its parts' texts.
     A part is standardized by a bytes ``translate``.
+
+    Every pattern met is kept: only proper parts are looked up, so over S_n
+    the index holds patterns of length n - 1 or less.  `MAX_REDUCTION_N`
+    bounds it (all of S_1..S_9 is 409113 patterns, about 94 MB at n = 10).
     """
 
     def __init__(self, n: int):
@@ -749,8 +746,7 @@ class _ShapeIndex(dict):
         if sid is None:
             sid = self._by_parts[parts] = len(self.shapes)
             self.shapes.append(self.text(parts))
-        if len(pattern) <= _SHAPE_MEMO_MAX:
-            self[pattern] = sid
+        self[pattern] = sid
         return sid
 
     def text(self, parts: tuple[int, ...]) -> str:

@@ -170,14 +170,16 @@ def test_poly_h5():
 def test_poly_resource_exit_code():
     proc = run_cli("poly", "--target", "eulerian", "--n", "13", "--method", "enumerate")
     assert proc.returncode == 3
-    proc = run_cli("verify", "--suite", "reduction", "--max-n", "11")
-    assert proc.returncode == 3
-    assert "--long-run" in proc.stderr
-    assert "Traceback" not in proc.stderr
-    # --long-run passes the enumeration gate; the tree route's own cap stops
-    # the run before any size is scored.
     start = time.perf_counter()
-    proc = run_cli("verify", "--suite", "lemma39", "--max-n", "12", "--long-run")
+    proc = run_cli("verify", "--suite", "reduction", "--max-n", "11")
+    assert time.perf_counter() - start < 10
+    assert proc.returncode == 3
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert re.findall(r"\d+", proc.stderr.split(";")[0]) == ["11", "10"]
+    # The tree route's own cap stops the run before any size is scored.
+    start = time.perf_counter()
+    proc = run_cli("verify", "--suite", "lemma39", "--max-n", "12")
     assert time.perf_counter() - start < 10
     assert proc.returncode == 3
     assert proc.stdout == "" and "Traceback" not in proc.stderr
@@ -202,12 +204,12 @@ def route_argv(command, quantity, method, n):
 
 def assert_refused(proc, command, quantity, method, n):
     """Exit 3 with one error line, whose hint names exactly the other methods
-    that run n without --long-run, or a smaller size when none does."""
+    whose caps admit n, or a smaller size when none does."""
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == "" and "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     routes = cli.ROUTES[command][quantity]
-    runnable = [m for m, r in routes.items() if m != method and r.admits(n)]
+    runnable = [m for m, r in routes.items() if m != method and n <= r.cap]
     hint = proc.stderr.rsplit(";", 1)[1]
     assert re.findall(r"--method (\w+)", hint) == runnable, proc.stderr
     if not runnable:
@@ -215,38 +217,22 @@ def assert_refused(proc, command, quantity, method, n):
 
 
 @pytest.mark.parametrize("command, quantity, method", ROUTE_ROWS)
-def test_every_route_refuses_past_its_cap_and_its_long_run(command, quantity, method):
-    route = cli.ROUTES[command][quantity][method]
-    n = route.cap + 1
+def test_every_route_refuses_past_its_cap(command, quantity, method):
+    n = cli.ROUTES[command][quantity][method].cap + 1
     start = time.perf_counter()
-    long_run = ["--long-run"] if command == "verify" else []
-    proc = run_cli(*route_argv(command, quantity, method, n), *long_run)
+    proc = run_cli(*route_argv(command, quantity, method, n))
     assert time.perf_counter() - start < 10
     assert_refused(proc, command, quantity, method, n)
-    if route.long_run is not None:
-        n = route.long_run + 1
-        proc = run_cli(*route_argv(command, quantity, method, n))
-        assert_refused(proc, command, quantity, method, n)
-        assert "--long-run" in proc.stderr
 
 
-def test_long_run_help_names_exactly_the_routes_that_need_it(capsys):
-    with pytest.raises(SystemExit):
-        cli.main(["poly", "--help"])
-    assert "--long-run" not in capsys.readouterr().out
-    assert all(route.long_run is None for routes in cli.ROUTES["poly"].values()
-               for route in routes.values())
-    with pytest.raises(SystemExit):
-        cli.main(["verify", "--help"])
-    text = " ".join(capsys.readouterr().out.split())
-    assert re.findall(r"(\w+)/(\w+) past --max-n (\d+)", text) == [("reduction", "enumerate", "10")]
-    assert "full-enumeration" not in text
-
-
-def test_poly_refuses_long_run_as_an_unknown_option():
-    proc = run_cli("poly", "--target", "eulerian", "--n", "4", "--long-run")
+@pytest.mark.parametrize("argv", [
+    ("poly", "--target", "eulerian", "--n", "4"),
+    ("verify", "--suite", "reduction", "--max-n", "4"),
+], ids=["poly", "verify"])
+def test_long_run_is_an_unknown_option(argv):
+    proc = run_cli(*argv, "--long-run")
     assert_usage_error(proc, "--long-run")
-    assert proc.stderr.startswith("usage: gammalab poly ")
+    assert proc.stderr.startswith(f"usage: gammalab {argv[0]} ")
 
 
 def test_poly_eulerian_runs_the_dp_to_its_cap_without_long_run():
@@ -263,7 +249,7 @@ def test_route_pairs_cover_every_quantity_with_two_routes():
 @pytest.mark.parametrize("command, quantity, first, second", ROUTE_PAIRS)
 def test_the_routes_of_a_quantity_agree(command, quantity, first, second, capsys):
     routes = cli.ROUTES[command][quantity]
-    sizes = [n for n in range(1, 9) if routes[first].admits(n) and routes[second].admits(n)]
+    sizes = [n for n in range(1, 9) if n <= min(routes[first].cap, routes[second].cap)]
     assert sizes
     for n in sizes:
         payloads = []
@@ -279,7 +265,8 @@ def test_the_routes_of_a_quantity_agree(command, quantity, first, second, capsys
 def test_parse_error_exit_code():
     # Superscript and Arabic-Indic digits pass str.isdigit(); "1_0" passes int().
     # A long non-permutation names one value, not the whole tuple.
-    for text in ("4x21", "1 2 2", "\u00b21", "\u2074", "1_0 2", "\u0661 \u0662", "1" * 5000):
+    for text in ("4x21", "1 2 2", "2,,1,3", "\u00b21", "\u2074", "1_0 2", "\u0661 \u0662",
+                 "1" * 5000):
         proc = run_cli("stats", text)
         assert proc.returncode == 2, text
         assert "Traceback" not in proc.stderr
@@ -312,6 +299,13 @@ def test_method_not_read_by_the_target_is_usage_error():
                  ("verify", "--suite", "system", "--max-n", "5", "--method", "bogus"),
                  ("verify", "--suite", "lemma39", "--max-n", "4", "--method", "enumerate")):
         assert_usage_error(run_cli(*args), "--method")
+
+
+@pytest.mark.parametrize("suite", list(cli.ROUTES["verify"]))
+def test_verify_without_max_n_is_usage_error(suite):
+    proc = run_cli("verify", "--suite", suite)
+    assert_usage_error(proc, "--max-n")
+    assert proc.stderr.startswith("usage: gammalab verify ")
 
 
 def test_verify_max_n_below_one_is_usage_error():
@@ -643,16 +637,15 @@ OUTSIDE_THE_CAPS = 10 ** 30
 @st.composite
 def cli_argvs(draw):
     """An argv for `cli.main`: a subcommand or an unknown word, then a
-    shuffled subset of its options, ``--long-run`` on ``poly`` and an
-    unknown flag, with values valid or not.  A size is -1, 0, 1..6, one past
-    its route's cap or 10**30, so every run that starts is small, and
-    ``--output`` names only the null device or a path below it, in a
-    directory that cannot exist, so nothing is written.
+    shuffled subset of its options and of two unknown flags, with values
+    valid or not.  A size is -1, 0, 1..6, one past its route's cap or
+    10**30, so every run that starts is small, and ``--output`` names only
+    the null device or a path below it, in a directory that cannot exist,
+    so nothing is written.
 
     An optional option is kept on a coin toss.  A bogus word or value, a
-    dropped required option, an unknown flag, -h and poly's --long-run come
-    once in eight draws each, so most argvs reach a route.  verify's
-    --max-n is always given: its default 10 is a long reduction."""
+    dropped required option, each unknown flag (--bogus, --long-run) and -h
+    come once in eight draws each, so most argvs reach a route."""
     def rarely():
         return draw(st.integers(0, 7)) == 0
 
@@ -662,7 +655,7 @@ def cli_argvs(draw):
     command = valid_or(["stats", "decompose", "poly", "verify"], "bogus")
     optional = [["--format", valid_or(["text", "json", "csv"], "yaml")],
                 ["--output", draw(st.sampled_from([os.devnull, os.path.join(os.devnull, "x")]))]]
-    required, chosen = [], []
+    required = []
     if command in ("stats", "decompose"):
         required.append([draw(PERM_TEXTS)])
     elif command in ("poly", "verify"):
@@ -674,18 +667,13 @@ def cli_argvs(draw):
         route = routes.get(method) or next(iter(routes.values()), None)
         sizes = [-1, 0, 1, 2, 3, 4, 5, 6, (route.cap if route else 1) + 1, OUTSIDE_THE_CAPS]
         size = [size_flag, str(draw(st.sampled_from(sizes)))]
-        required.append([key, quantity])
-        (chosen if command == "verify" else required).append(size)
+        required += [[key, quantity], size]
         optional.append(["--threads", draw(st.sampled_from(["-1", "0", "2", str(OUTSIDE_THE_CAPS)]))])
         if method is not None:
             optional.append(["--method", method])
-        if command == "verify":
-            optional.append(["--long-run"])
-        elif rarely():
-            chosen.append(["--long-run"])
-    chosen += [option for option in optional if draw(st.booleans())]
+    chosen = [option for option in optional if draw(st.booleans())]
     chosen += [option for option in required if not rarely()]
-    chosen += [[flag] for flag in ("--bogus", "-h") if rarely()]
+    chosen += [[flag] for flag in ("--bogus", "--long-run", "-h") if rarely()]
     return [command] + list(itertools.chain.from_iterable(draw(st.permutations(chosen))))
 
 

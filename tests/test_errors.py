@@ -12,7 +12,7 @@ ENTRY_POINTS = [
     (permutations.enumerate_permutations, errors.MAX_ENUMERATION_N),
     (permutations.eulerian_distribution, errors.MAX_ENUMERATION_N),
     (permutations.simple_distribution, errors.MAX_ENUMERATION_N),
-    (orbits.verify_reduction, errors.MAX_ENUMERATION_N),
+    (orbits.verify_reduction, errors.MAX_REDUCTION_N),
     (lambda n: orbits.closure_trees(n, 5), errors.MAX_CLOSURE_TREE_N),
     (orbits.closure_class_report, errors.MAX_CLOSURE_TREE_N),
     (lambda n: next(orbits.closure_class_reports(n)), errors.MAX_CLOSURE_TREE_N),

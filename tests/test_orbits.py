@@ -10,7 +10,7 @@ from oracles import leaf_count, subtree_at
 from test_trees import reference_shape_text, reference_simplified_text
 
 from gammalab import orbits
-from gammalab.errors import ResourceBoundError, StructureError
+from gammalab.errors import MAX_REDUCTION_N, ResourceBoundError, StructureError
 from gammalab.orbits import (
     _simplified_groups,
     _tally_packing,
@@ -427,7 +427,8 @@ def test_closure_and_reduction_refuse_past_the_budget():
     # pool is built.
     assert orbits.MAX_CLOSURE_TREE_N == 11
     for call in (lambda: closure_trees(13, 2), lambda: closure_class_report(13),
-                 lambda: verify_reduction(13), lambda: closure_trees(12, 2),
+                 lambda: verify_reduction(13), lambda: verify_reduction(MAX_REDUCTION_N + 1),
+                 lambda: closure_trees(12, 2),
                  lambda: closure_trees(12, 5), lambda: closure_class_report(12)):
         start = time.perf_counter()
         with pytest.raises(ResourceBoundError):
@@ -524,19 +525,19 @@ def test_complement_keeps_the_simplified_tree_and_mirrors_des_ides():
             assert des_ides(q) == (n - 1 - d, n - 1 - e), p
 
 
-def test_reduction_groups_match_the_tree_oracle(monkeypatch):
+def test_reduction_groups_match_the_tree_oracle():
     # The oracle builds every tree of S_n, with no mirroring; the groups come
     # from root splits and an index of shorter patterns' shapes, over half of
     # S_n plus the self-complementary middle shard at odd n.
     for n in range(1, 9):
         assert _simplified_groups(n) == tree_oracle_groups(n), n
-    # Parts longer than the index keeps are split again where they occur.
-    monkeypatch.setattr(orbits, "_SHAPE_MEMO_MAX", 3)
-    assert _simplified_groups(7) == tree_oracle_groups(7)
-    index = orbits._ShapeIndex(7)
-    for p in all_perms(7):
-        index.key(bytes(p))
-    assert max(map(len, index)) == 3
+    # The index keeps every pattern it meets, and it meets only proper parts,
+    # so at MAX_REDUCTION_N it holds no pattern longer than 9.
+    for n in range(2, 9):
+        index = orbits._ShapeIndex(n)
+        for p in all_perms(n):
+            index.key(bytes(p))
+        assert max(map(len, index)) == n - 1, n
 
 
 def shape_tuple(text):
