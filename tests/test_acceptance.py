@@ -89,8 +89,9 @@ def test_criterion_03_gamma_positivity_sweep():
         assert all(c >= 0 for _, c in coeff.terms())
     elapsed = time.time() - start
     assert elapsed < 120.0, f"inversion sweep took {elapsed:.2f}s"
-    # Direct-enumeration cross-check (n <= 12 is reserved for explicit
-    # long-run invocations; n <= 10 runs here).
+    # Direct-enumeration cross-check for n <= 10; the prefix-state DP is
+    # compared with the inversion route up to its cap, n = 12, in
+    # tests/test_permutations.py.
     for n in range(4, 11):
         assert S.coeff(n) == simple_distribution(n, threads=0).poly, n
     report("3 gamma-positivity sweep n=4..12 (inversion), cross-check n<=10")

@@ -60,6 +60,9 @@ def test_stats_worked_example():
     assert data["ides"] == 3
     assert data["descent_set"] == [3]
     assert data["n"] == 6
+    # Any whitespace separates entries, as in `gammalab stats "$(seq 1 6)"`.
+    for sep in ("\n", "\t"):
+        assert run_json("stats", sep.join("246135")) == data
 
 
 def test_stats_simple_flag():
@@ -135,7 +138,7 @@ def test_poly_simple_six_both_methods():
         assert data["positive"] is True
 
 
-def test_poly_simple_enumeration_runs_its_cap_without_long_run():
+def test_poly_simple_enumeration_runs_its_cap_and_matches_inversion():
     start = time.perf_counter()
     dp = run_json("poly", "--target", "simple", "--method", "enumerate", "--n", "12")
     assert time.perf_counter() - start < 10
@@ -156,7 +159,7 @@ def test_poly_separable():
     assert data["positive"] is True
 
 
-def test_poly_separable_past_the_enumeration_cap_needs_no_long_run():
+def test_poly_separable_runs_past_the_enumeration_cap():
     data = run_json("poly", "--target", "separable", "--n", "13")
     assert sum(term["c"] for term in data["polynomial"]["terms"]) == 27297738  # A006318
 
@@ -235,7 +238,7 @@ def test_long_run_is_an_unknown_option(argv):
     assert proc.stderr.startswith(f"usage: gammalab {argv[0]} ")
 
 
-def test_poly_eulerian_runs_the_dp_to_its_cap_without_long_run():
+def test_poly_eulerian_dp_matches_rsk_up_to_its_cap():
     for n in ("11", "12"):
         dp = run_json("poly", "--target", "eulerian", "--n", n)
         rsk = run_json("poly", "--target", "eulerian", "--n", n, "--method", "rsk")
@@ -397,7 +400,7 @@ def test_verify_conjecture():
 
 
 def test_verify_conjecture_full_sweep():
-    # The inversion route reaches n = 12 without any long-run flag.
+    # The inversion route runs the whole sweep to n = 12.
     data = run_json("verify", "--suite", "conjecture", "--max-n", "12")
     assert data["ok"] is True
     assert data["results"][-1]["n"] == 12
@@ -627,7 +630,7 @@ def permutation_text(k, sep):
 # fields, Unicode digits, repeats, out-of-range values and the empty string.
 PERM_TEXTS = (
     st.integers(1, 9).flatmap(lambda k: permutation_text(k, ""))
-    | st.tuples(st.integers(1, 20), st.sampled_from([" ", ","])).flatmap(
+    | st.tuples(st.integers(1, 20), st.sampled_from([" ", ",", "\n", "\t"])).flatmap(
         lambda ks: permutation_text(*ks))
     | st.text(st.sampled_from("0123456789 ,-_x\u0661\u00b2\u2074"), max_size=64)
 )
@@ -850,11 +853,11 @@ def reference_csv(data):
 
 
 def test_stats_and_decompose_answer_deep_monotone_inputs():
-    # 599 nested sums or skew sums: the renderers walk the tree without
+    # 899 nested sums or skew sums: the renderers walk the tree without
     # recursion in every format.
-    n = 600
+    n = 900
     for perm, label in ((range(1, n + 1), "12"), (range(n, 0, -1), "21")):
-        text = " ".join(map(str, perm))
+        text = "\n".join(map(str, perm))  # as `$(seq 1 900)` gives it
         stats = run_json("stats", text)
         assert stats["n"] == n and stats["in_closure_2"] is True
         out = {}

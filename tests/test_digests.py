@@ -1,15 +1,22 @@
 """Byte identity of the CLI outputs that the benchmark pins.
 
 Every command in ``bench/digests.json`` runs in process with ``--format json``
-and the sha256 of its stdout must equal the recorded digest.
+and the sha256 of its stdout must equal the recorded digest.  One of them,
+``verify --suite lemma39 --max-n 9``, also runs as ``python -m gammalab`` with
+stdout a real pipe, so that its 3.2 MB payload goes through the process's own
+stdout (its encoding, its buffer and the flush at exit), which the
+``StringIO`` of the in-process runs replaces.
 """
 import contextlib
 import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 
 import pytest
+from test_cli import cli_env
 
 from gammalab import cli
 
@@ -27,6 +34,14 @@ def test_stdout_matches_the_recorded_digest(command):
         code = cli.main(command.split() + ["--format", "json"])
     assert code == cli.EXIT_OK
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == RECORDED[command]
+
+
+def test_lemma39_through_a_pipe_matches_the_recorded_digest():
+    command = "verify --suite lemma39 --max-n 9"
+    proc = subprocess.run([sys.executable, "-m", "gammalab", *command.split(), "--format", "json"],
+                          capture_output=True, env=cli_env())
+    assert proc.returncode == cli.EXIT_OK, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == RECORDED[command]
 
 
 # The lemma39 sweep one size past the benchmark's command (about 2 s); pinned

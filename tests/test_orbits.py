@@ -528,7 +528,7 @@ def test_complement_keeps_the_simplified_tree_and_mirrors_des_ides():
 def test_reduction_groups_match_the_tree_oracle():
     # The oracle builds every tree of S_n, with no mirroring; the groups come
     # from root splits and an index of shorter patterns' shapes, over half of
-    # S_n plus the self-complementary middle shard at odd n.
+    # S_n plus, at odd n, the block of the middle first value, its own mirror.
     for n in range(1, 9):
         assert _simplified_groups(n) == tree_oracle_groups(n), n
     # The index keeps every pattern it meets, and it meets only proper parts,

@@ -1,6 +1,9 @@
 """The package namespace: every public name resolves, on first use, to the
 object its defining module holds."""
+import ast
 import importlib
+import pathlib
+import re
 import sys
 
 import pytest
@@ -59,3 +62,18 @@ def test_an_unknown_name_is_an_attribute_error_and_a_submodule_still_imports():
         gammalab.no_such_name  # noqa: B018
     from gammalab import orbits
     assert orbits is sys.modules["gammalab.orbits"]
+
+
+def test_every_source_file_parses_at_the_requires_python_floor():
+    """The syntax half of the floor: the package, the tests and the demos
+    parse as the oldest Python that ``pyproject.toml`` admits.  Library APIs
+    new in later versions are left to the CI matrix's oldest leg."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    # A regex, not tomllib: tomllib is new in 3.11, newer than the floor.
+    pyproject = (root / "pyproject.toml").read_text(encoding="utf-8")
+    floor = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.MULTILINE)
+    version = tuple(map(int, floor.groups()))
+    files = sorted(path for top in ("src", "tests", "demos") for path in (root / top).rglob("*.py"))
+    assert len(files) >= 20
+    for path in files:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=version)

@@ -151,6 +151,9 @@ def test_is_simple_examples():
     simple4 = [p for p in all_perms(4) if is_simple(p)]
     assert simple4 == [(2, 4, 1, 3), (3, 1, 4, 2)]
     assert is_simple((2, 4, 6, 1, 3, 5))
+    # q = 2 4 ... 2k 1 3 ... 2k-1 at k = 1000, ten times the longest in
+    # `long_inputs`, where the O(n^3) oracle cannot follow.
+    assert is_simple(tuple(range(2, 2001, 2)) + tuple(range(1, 2000, 2)))
 
 
 def long_inputs():
